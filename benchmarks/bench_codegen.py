@@ -1,36 +1,49 @@
-"""Plan-to-Python codegen vs. the interpreter — cached-plan re-execution.
+"""Executor re-execution — a host-normalised bound on cached-plan runs.
 
-The codegen win lives where per-node dispatch dominates: small prepared
-plans served over and over from the plan cache, every execution paying the
-interpreter's ``getattr`` dispatch, ``PlanNode`` param unpacking and
-repeated static decisions.  Two workloads isolate it:
+Every plan runs through its prepare-time closure program
+(:mod:`repro.xquery.codegen`).  The closures pay off where per-operator
+dispatch dominates: small prepared plans served over and over from the
+plan cache.  Two mixes isolate it:
 
 * **expression mix** — dispatch-bound arithmetic / comparison / logic
-  plans over constants: the compiled closures inline every literal and
-  resolve every operator at prepare time, so re-execution is closure
-  composition over per-iteration dicts.  This is the acceptance workload:
-  the mix must re-execute >= 1.5x faster compiled than interpreted,
+  plans over constants: the closures inline every literal and resolve
+  every operator at prepare time, so re-execution is closure composition
+  over per-iteration dicts,
 * **serving mix** — small path / predicate / FLWOR queries of the shape a
-  plan-cache-heavy server sees: table kernels dominate here, so the floor
-  only guards against codegen *losing* (the speedup is recorded for the
-  trajectory, not asserted large).
+  plan-cache-heavy server sees: the staircase joins and table kernels
+  dominate, so this mix tracks host speed and little else.
 
-Compiled and interpreted results are asserted bit-identical — and the
-compiled run is asserted to actually take the codegen path — before any
-timing.  Results land in ``benchmarks/results/BENCH_bench_codegen.json``.
+The bound is a ratio, so it cancels the speed of the host:
+``expression time / serving time <= 1.2 x reference``, where the reference
+is the median ratio the closure executor measured at each scale (see
+``REFERENCE_RATIO``).  Losing the closures' dispatch win (~1.65x on the
+expression mix) pushes the ratio past the bound; host speed moves both
+mixes together.  Every result is checked against the tree-walking baseline
+interpreter's serialization before any timing.  Results land in
+``benchmarks/results/BENCH_bench_codegen.json``.
 """
 
 from __future__ import annotations
 
 import time
 
-from repro import EngineOptions, MonetXQuery
-from repro.relational.explain import capture
+import pytest
+
+from repro import MonetXQuery
+from repro.baselines.interpreter import run_baseline
 from repro.xmark import generate_document
+from repro.xml.serializer import serialize_sequence
 
 from .conftest import BASE_SCALE, SEED, write_bench_json
 
 REPEATS = 9
+
+#: expression-mix / serving-mix time of the closure executor, keyed by
+#: ``REPRO_BENCH_SCALE``: the median of 12 runs per scale (each mix timed
+#: on its own, best of 9 per query) on a 2-core x86-64 host, CPython 3.11
+REFERENCE_RATIO = {0.002: 0.657, 0.0008: 0.671}
+#: allowed slack over the reference ratio
+BOUND = 1.2
 
 #: dispatch-bound plans: many operators, (almost) no document data
 EXPRESSION_MIX = {
@@ -55,7 +68,6 @@ SERVING_MIX = {
     "quantified": "some $i in (1 to 12) satisfies $i * $i = 49",
 }
 
-_RESULTS: dict[str, dict] = {}
 _ENGINE: MonetXQuery | None = None
 
 
@@ -68,69 +80,59 @@ def engine() -> MonetXQuery:
     return _ENGINE
 
 
-def best_of(prepared, repeats: int = REPEATS) -> float:
-    best = float("inf")
-    for _ in range(repeats):
-        started = time.perf_counter()
-        prepared.run()
-        best = min(best, time.perf_counter() - started)
-    return best
-
-
-def measure(group: str, mix: dict[str, str]) -> float:
-    """Best-of re-execution time of every query in a mix, compiled vs.
-    interpreted; returns the aggregate (sum-of-best over sum-of-best)
-    speedup and records per-query numbers."""
+def check_against_baseline(mix: dict[str, str]) -> None:
+    """The executor must agree with the tree-walking baseline."""
     mxq = engine()
-    compiled_total = interpreted_total = 0.0
-    for name, query in mix.items():
-        compiled = mxq.prepare(query, options=EngineOptions(codegen=True))
-        interpreted = mxq.prepare(query,
-                                  options=EngineOptions(codegen=False))
-
-        # correctness first: codegen may change how a plan runs, never its
-        # bytes — and the compiled run must actually take the codegen path
-        assert compiled.run().serialize() == interpreted.run().serialize(), \
-            f"codegen diverged on {query!r}"
-        with capture() as trace:
-            compiled.run()
-        assert trace.count("plan.codegen") == 1, \
-            f"workload {name!r} did not execute compiled"
-
-        compiled_seconds = best_of(compiled)
-        interpreted_seconds = best_of(interpreted)
-        compiled_total += compiled_seconds
-        interpreted_total += interpreted_seconds
-        _RESULTS[f"{group}:{name}"] = {
-            "query": query,
-            "compiled_s": compiled_seconds,
-            "interpreted_s": interpreted_seconds,
-            "speedup": interpreted_seconds / compiled_seconds
-            if compiled_seconds else float("inf"),
-        }
-    speedup = interpreted_total / compiled_total if compiled_total \
-        else float("inf")
-    _RESULTS[f"{group}:aggregate"] = {
-        "compiled_s": compiled_total,
-        "interpreted_s": interpreted_total,
-        "speedup": speedup,
-    }
-    write_bench_json("bench_codegen", {"scale_used": BASE_SCALE,
-                                       "workloads": _RESULTS})
-    return speedup
+    for query in mix.values():
+        expected = serialize_sequence(
+            run_baseline(mxq.store, query, "auction.xml"))
+        assert mxq.prepare(query).run().serialize() == expected, \
+            f"executor diverged from the baseline on {query!r}"
 
 
-def test_expression_mix_speedup():
-    """The acceptance floor: dispatch-bound cached plans must re-execute
-    >= 1.5x faster through their compiled closures."""
-    speedup = measure("expression", EXPRESSION_MIX)
-    assert speedup >= 1.5, f"expression-mix speedup only {speedup:.2f}x"
+def measure() -> float:
+    """Expression-mix over serving-mix re-execution time: per query the
+    best of ``REPEATS`` runs, summed per mix.  The repeats interleave both
+    mixes, so a change of host speed during the measurement hits both
+    sides of the ratio alike."""
+    mxq = engine()
+    prepared = {(group, name): mxq.prepare(query)
+                for group, mix in (("expression", EXPRESSION_MIX),
+                                   ("serving", SERVING_MIX))
+                for name, query in mix.items()}
+    best = dict.fromkeys(prepared, float("inf"))
+    for _ in range(REPEATS):
+        for key, query in prepared.items():
+            started = time.perf_counter()
+            query.run()
+            best[key] = min(best[key], time.perf_counter() - started)
+    totals = {group: sum(seconds for (owner, _), seconds in best.items()
+                         if owner == group)
+              for group in ("expression", "serving")}
+    ratio = totals["expression"] / totals["serving"]
+    reference = REFERENCE_RATIO.get(BASE_SCALE)
+    write_bench_json("bench_codegen", {
+        "scale_used": BASE_SCALE,
+        "workloads": {f"{group}:{name}": {"compiled_s": seconds}
+                      for (group, name), seconds in best.items()},
+        "totals_s": totals, "expression_to_serving_ratio": ratio,
+        "reference_ratio": reference, "bound": BOUND})
+    return ratio
 
 
-def test_serving_mix_does_not_regress():
-    """Kernel-bound plans: the staircase joins and table operators dominate
-    and are shared with the interpreter, so codegen is near-neutral here —
-    the floor (with slack for timer noise on shared CI machines) only
-    guards against the compiled path losing outright."""
-    speedup = measure("serving", SERVING_MIX)
-    assert speedup >= 0.8, f"serving mix regressed: {speedup:.2f}x"
+def test_mixes_match_baseline():
+    check_against_baseline(EXPRESSION_MIX)
+    check_against_baseline(SERVING_MIX)
+
+
+def test_expression_mix_within_bound():
+    """Dispatch-bound cached plans, normalised by the kernel-bound mix,
+    must stay within ``BOUND`` of the closure executor's reference."""
+    ratio = measure()
+    reference = REFERENCE_RATIO.get(BASE_SCALE)
+    if reference is None:
+        pytest.skip(f"no reference ratio at scale {BASE_SCALE} "
+                    f"(measured {ratio:.3f})")
+    assert ratio <= BOUND * reference, \
+        f"expression/serving ratio {ratio:.3f} exceeds " \
+        f"{BOUND} x reference {reference:.3f}"

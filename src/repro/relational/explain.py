@@ -91,8 +91,3 @@ def capture() -> Iterator[Trace]:
         yield trace
     finally:
         _STATE.active.remove(trace)
-
-
-def tracing_active() -> bool:
-    """True when at least one trace is currently capturing."""
-    return bool(_STATE.active)

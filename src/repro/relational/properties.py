@@ -54,10 +54,6 @@ class ColumnProps:
     def copy(self) -> "ColumnProps":
         return replace(self)
 
-    def weakened(self) -> "ColumnProps":
-        """Return a copy with all properties dropped (safe default)."""
-        return ColumnProps()
-
     def describe(self) -> str:
         parts = []
         if self.dense:

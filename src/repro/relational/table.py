@@ -8,7 +8,7 @@ Section 4.1 uses to avoid sorts.
 
 from __future__ import annotations
 
-from typing import Any, Iterable, Iterator, Mapping, Sequence
+from typing import Any, Iterator, Mapping, Sequence
 
 from ..errors import SchemaError
 from .column import Column
@@ -122,13 +122,6 @@ class Table:
     def col_props(self, name: str) -> ColumnProps:
         return self.column(name).props
 
-    def set_order(self, *columns: str) -> "Table":
-        """Declare the lexicographic ordering of this table (in place)."""
-        for name in columns:
-            self.column(name)
-        self.props.order = tuple(columns)
-        return self
-
     def add_group_order(self, columns: Sequence[str], group: str) -> "Table":
         """Declare a ``grpord`` property (in place)."""
         self.props.group_orders = self.props.group_orders + (
@@ -141,11 +134,6 @@ class Table:
     # ------------------------------------------------------------------ #
     # structural helpers used by the operators
     # ------------------------------------------------------------------ #
-    def with_columns(self, columns: Iterable[Column], *,
-                     props: TableProps | None = None) -> "Table":
-        """Return a new table consisting of the given columns."""
-        return Table(list(columns), props=props)
-
     def take(self, positions: Sequence[int], *,
              keep_order: bool = False) -> "Table":
         """Row selection by position, applied to every column.

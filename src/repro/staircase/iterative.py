@@ -18,7 +18,6 @@ touched so the ``|result| + |context|`` bound of the paper can be verified
 
 from __future__ import annotations
 
-from array import array
 from dataclasses import dataclass, field
 
 from ..errors import StaircaseJoinError
@@ -257,19 +256,6 @@ _AXIS_HANDLERS = {
     Axis.FOLLOWING_SIBLING: _following_sibling,
     Axis.PRECEDING_SIBLING: _preceding_sibling,
 }
-
-
-def staircase_join_arrays(container: DocumentContainer, context: list[int],
-                          axis: Axis, node_test: NodeTest | None = None, *,
-                          stats: StaircaseStats | None = None) -> array:
-    """:func:`staircase_join` with a typed ``array('q')`` result column.
-
-    The iterative executor and the typed step assembly consume pre ranks as
-    an int array so per-iteration results enter the relational layer
-    without boxing into tuple lists.
-    """
-    return array("q", staircase_join(container, context, axis, node_test,
-                                     stats=stats))
 
 
 # --------------------------------------------------------------------------- #

@@ -519,39 +519,6 @@ def ll_siblings_arrays(container: DocumentContainer, context: ContextPairs, *,
     return out_iters, out_pres
 
 
-# tuple-pair facades kept for the tests and exploratory use -------------------
-def ll_self(container: DocumentContainer, context: ContextPairs) -> ResultPairs:
-    iters, pres = ll_self_arrays(container, context)
-    return list(zip(iters, pres))
-
-
-def ll_parent(container: DocumentContainer, context: ContextPairs) -> ResultPairs:
-    iters, pres = ll_parent_arrays(container, context)
-    return list(zip(iters, pres))
-
-
-def ll_ancestor(container: DocumentContainer, context: ContextPairs, *,
-                or_self: bool = False) -> ResultPairs:
-    iters, pres = ll_ancestor_arrays(container, context, or_self=or_self)
-    return list(zip(iters, pres))
-
-
-def ll_following(container: DocumentContainer, context: ContextPairs) -> ResultPairs:
-    iters, pres = ll_following_arrays(container, context)
-    return list(zip(iters, pres))
-
-
-def ll_preceding(container: DocumentContainer, context: ContextPairs) -> ResultPairs:
-    iters, pres = ll_preceding_arrays(container, context)
-    return list(zip(iters, pres))
-
-
-def ll_siblings(container: DocumentContainer, context: ContextPairs, *,
-                following: bool) -> ResultPairs:
-    iters, pres = ll_siblings_arrays(container, context, following=following)
-    return list(zip(iters, pres))
-
-
 def ll_attribute(container: DocumentContainer, context: ContextPairs,
                  name: str | None = None) -> list[tuple[int, int]]:
     """Loop-lifted attribute step: returns ``(iter, attribute_row)`` pairs."""

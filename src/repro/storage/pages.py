@@ -172,24 +172,3 @@ class PagedStructure:
     def used_slots(self) -> list[int]:
         """Pre-view positions of all used (non-NULL level) tuples, in order."""
         return [pre for pre in range(self.pre_count) if not self.is_unused(pre)]
-
-    def logical_view(self) -> list[tuple[int, int, int, int, str | None]]:
-        """The dense ``pre|size|level`` view: used tuples in pre-view order.
-
-        The returned list index is the *dense* pre rank that query processing
-        sees (unused tuples are invisible to queries).
-        """
-        view = []
-        for pre in range(self.pre_count):
-            rid = self.pre_to_rid(pre)
-            if self.level[rid] is UNUSED:
-                continue
-            view.append((self.size[rid], self.level[rid], self.kind[rid],
-                         self.name_id[rid], self.value[rid]))
-        return view
-
-    def free_slots_in_page(self, logical_page: int) -> list[int]:
-        """Unused pre-view positions inside one logical page."""
-        start = logical_page << self.page_bits
-        return [pre for pre in range(start, start + self.page_size)
-                if self.is_unused(pre)]

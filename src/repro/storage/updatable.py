@@ -140,23 +140,6 @@ class UpdatableDocument:
             raise UpdateError(f"dense pre {dense_pre} out of range")
         return slots[dense_pre]
 
-    def slot_to_dense(self, slot: int) -> int:
-        slots = self.used_slots()
-        try:
-            return slots.index(slot)
-        except ValueError:
-            raise UpdateError(f"slot {slot} holds no live node") from None
-
-    def node_size(self, dense_pre: int) -> int:
-        slot = self.dense_to_slot(dense_pre)
-        return self.pages.get(slot)[0]
-
-    def node_level(self, dense_pre: int) -> int:
-        slot = self.dense_to_slot(dense_pre)
-        level = self.pages.get(slot)[1]
-        assert level is not None
-        return level
-
     # ------------------------------------------------------------------ #
     # value updates
     # ------------------------------------------------------------------ #

@@ -21,14 +21,12 @@ which order by document order and compare by node identity.
 
 from __future__ import annotations
 
-from array import array
 from dataclasses import dataclass
 from enum import IntEnum
 from typing import Any, Iterable, Iterator
 
 from ..errors import DocumentError
-from ..relational.column import Column, IntColumn
-from ..relational.properties import ColumnProps, TableProps
+from ..relational.column import Column
 from ..relational.table import Table
 from ..concurrency import ReadWriteLock
 from ..storage.backends import Backend, RamBackend
@@ -323,48 +321,6 @@ class DocumentContainer:
     def element_count(self) -> int:
         """Total number of element nodes in this container."""
         return sum(self._tag_counts.values())
-
-    # ------------------------------------------------------------------ #
-    # relational views
-    # ------------------------------------------------------------------ #
-    def _snapshot(self, values: "array | memoryview") -> "array | memoryview":
-        """A stable int64 buffer for relational views.
-
-        Writable containers copy (the table must stay a consistent
-        materialised intermediate even if the container grows afterwards);
-        read-only backends never grow, so their views are adopted without
-        copying — a mapped store serves tables out-of-core.
-        """
-        if self.backend.readonly:
-            return values
-        return array("q", values)
-
-    def structural_table(self) -> Table:
-        """The ``pre|size|level|kind|name|frag`` table as a relational Table.
-
-        ``pre`` is a virtual dense column; the other columns are typed
-        ``i64`` snapshots (zero-copy views on a read-only backend).
-        """
-        pre = Column.dense("pre", self.node_count)
-        props = TableProps(order=("pre",))
-        columns = [
-            pre,
-            IntColumn("size", self._snapshot(self.size)),
-            IntColumn("level", self._snapshot(self.level)),
-            IntColumn("kind", self._snapshot(self.kind)),
-            IntColumn("name", self._snapshot(self.name_id)),
-            IntColumn("frag", self._snapshot(self.frag)),
-        ]
-        return Table(columns, props=props)
-
-    def attribute_table(self) -> Table:
-        """The attribute property container as a relational Table."""
-        columns = [
-            IntColumn("owner", self._snapshot(self.attr_owner)),
-            IntColumn("name", self._snapshot(self.attr_name)),
-            Column("value", self.attr_value),
-        ]
-        return Table(columns, props=TableProps(order=("owner",)))
 
     # ------------------------------------------------------------------ #
     # subtree copying (element construction, Section 5.1)

@@ -1,42 +1,31 @@
-"""Plan-to-Python codegen: specialized executor closures per plan operator.
+"""The executor: one specialized Python closure per plan operator.
 
-The interpreting executor (:mod:`repro.xquery.compiler`) walks the optimized
-DAG node-by-node on *every* execution: per node a ``getattr`` dispatch, a
-re-unpacking of the same ``PlanNode`` params, re-derivation of the same
-static decisions (need_pos/need_item, join schedules, fused chains).  For
-plans served thousands of times from the plan cache this is pure overhead —
-the paper's whole point is that the hot path should run as tight loops over
-columns, not per-node interpretation.
+Every optimized plan (:class:`~repro.relational.rewrites.
+OptimizedModulePlan`) is compiled **once at prepare time** into one closure
+per operator — closure composition, the approach DevilsDatabase takes for
+value expressions, one level up — and that program is the only way a plan
+runs:
 
-This module compiles an :class:`~repro.relational.rewrites.
-OptimizedModulePlan` **once at prepare time** into one specialized Python
-closure per covered operator (closure composition — the approach
-DevilsDatabase takes for value expressions, one level up):
-
-* every static decision is resolved at codegen time: operator params,
-  comparison operators and strategies, need_pos/need_item column
+* every static decision is resolved when the closure is built: operator
+  params, comparison operators and strategies, need_pos/need_item column
   requirements, join schedules and estimates, fused-chain specs (including
-  positional ``[k]``/``[last()]`` predicates), builtin function lookups,
-* constant operands of arithmetic / comparisons / logic skip the
-  ``lift_constant`` table churn entirely (their per-iteration values and
-  effective boolean values are precomputed),
-* the subplan-cache and CSE-memoisation wrappers of the interpreter's
-  ``compile()`` entry point are baked into each closure, so cache
-  semantics are bit-identical,
-* anything codegen does not cover (node constructors, user functions —
-  per-node ``codegen_fallbacks`` marking from the rewrite layer) delegates
-  to the interpreter for its own subtree only; covered children of an
-  interpreted parent still execute compiled, because the interpreter's
-  ``compile()`` consults the compiled-closure table first.
+  positional ``[k]``/``[last()]`` predicates), builtin function lookups
+  (an unknown function name is a static error, raised from ``prepare()``),
+* constant operands of arithmetic / comparisons / logic / constructors
+  skip the ``lift_constant`` table churn entirely (their per-iteration
+  values and effective boolean values are precomputed),
+* the cross-query subplan cache and the CSE memoisation wrap each closure
+  that the rewrite layer marked cacheable or shared.
 
 Each closure has the signature ``fn(rt, loop, env) -> Table`` where ``rt``
 is the per-execution :class:`~repro.xquery.compiler.LoopLiftingCompiler`
 (carrying the run-scoped state: memo tables, staircase stats, the engine
-view).  The :class:`CompiledProgram` itself is immutable and shared — it is
-cached on :class:`~repro.xquery.engine.PreparedQuery` next to the plan, so
-plan-cache keying (query + options + store version) invalidates both
-together, and process-pool workers rebuild it cheaply in their warm
-per-generation engines.
+view, the user-function call stack).  The :class:`CompiledProgram` itself
+is immutable and shared — it is cached on
+:class:`~repro.xquery.engine.PreparedQuery` next to the plan, so plan-cache
+keying (query + options + store version) invalidates both together, and
+process-pool workers rebuild it cheaply in their warm per-generation
+engines.
 """
 
 from __future__ import annotations
@@ -54,22 +43,19 @@ from ..relational.sorting import sort
 from ..staircase.axes import NodeTest
 from ..xml.document import NodeRef
 from . import functions
+from .constructors import construct_element, construct_text
 from .joins import existential_compare
 from .sequences import (back_map, empty_sequence, for_binding,
                         from_iter_items, items_by_iteration, lift_constant,
                         lift_environment, lift_items, make_loop,
-                        restrict_sequence, singleton_per_iter)
+                        restrict_sequence, singleton_per_iter,
+                        singleton_values)
 from .steps import StepOptions, axis_step, axis_step_chain
-from .types import atomize, effective_boolean_value, to_number
+from .types import atomize, effective_boolean_value, to_number, to_string
 
-#: operators that get their own generated closure; ``for``/``let``/
-#: ``orderspec`` are codegen-covered but structural — they are consumed
-#: inline by the enclosing ``flwor``/``quantified`` closure
-_GENERATED = frozenset({
-    "const", "empty", "var", "context", "root", "seq", "range", "arith",
-    "unary", "cmp-value", "cmp-general", "and", "or", "if", "flwor",
-    "quantified", "step", "filter", "call",
-})
+#: operators consumed inline by their parent's closure (``flwor`` /
+#: ``quantified`` clauses, ``order by`` specs, attribute value templates)
+_STRUCTURAL = frozenset({"for", "let", "orderspec", "avt"})
 
 #: argless builtins that consume the implicit context item
 _CONTEXT_BUILTINS = ("string", "data", "number", "name", "local-name")
@@ -84,43 +70,32 @@ class CompiledProgram:
     """
 
     by_id: dict[int, Callable] = field(repr=False)
-    #: node id -> reason the subtree stays interpreted (from the rewrite
-    #: layer's coverage marking)
-    fallbacks: dict[int, str] = field(repr=False)
+    #: always empty — every operator compiles; kept for trace consumers
+    #: that still report the old per-node fallback count
+    fallbacks: dict[int, str] = field(default_factory=dict, repr=False)
     compiled_count: int = 0
 
 
 def compile_plan(optimized: OptimizedModulePlan, options: Any
                  ) -> CompiledProgram:
-    """Compile every covered operator of an optimized plan to a closure."""
+    """Compile every operator of an optimized plan to a closure."""
     builder = _ClosureBuilder(optimized, options)
     for root in optimized.roots():
         for node in root.walk():
-            if node.id in optimized.codegen_nodes \
-                    and node.kind in _GENERATED:
+            if node.kind not in _STRUCTURAL:
                 builder.closure(node)
     return CompiledProgram(by_id=builder.by_id,
-                           fallbacks=dict(optimized.codegen_fallbacks),
                            compiled_count=len(builder.by_id))
 
 
-def _singleton_values(table) -> dict[int, Any]:
-    """First item per iteration (the singleton-value view of a sequence)."""
-    values: dict[int, Any] = {}
-    for iteration, item in zip(table.col("iter"), table.col("item")):
-        values.setdefault(iteration, item)
-    return values
-
-
 class _ClosureBuilder:
-    """Walks the plan DAG once, emitting one closure per covered node."""
+    """Walks the plan DAG once, emitting one closure per operator."""
 
     def __init__(self, plan: OptimizedModulePlan, options: Any):
         self.plan = plan
         self.options = options
         self.by_id: dict[int, Callable] = {}
-        self._delegates: dict[int, Callable] = {}
-        # every option consulted per-node by the interpreter, resolved once
+        # every option consulted per node, resolved once
         self.order_opt = options.order_optimization
         self.step_fusion = getattr(options, "step_fusion", True)
         self.existential_strategy = "auto" \
@@ -137,29 +112,22 @@ class _ClosureBuilder:
     # closure lookup / wrapping
     # ------------------------------------------------------------------ #
     def closure(self, node: PlanNode) -> Callable:
-        """The executable closure of a node: generated + wrapped when the
-        coverage analysis marked it, an interpreter delegate otherwise."""
+        """The executable closure of a node, generated and wrapped once."""
         fn = self.by_id.get(node.id)
         if fn is not None:
             return fn
-        fn = self._delegates.get(node.id)
-        if fn is not None:
-            return fn
-        if node.id in self.plan.codegen_nodes and node.kind in _GENERATED:
-            generate = getattr(self, "_gen_" + node.kind.replace("-", "_"))
-            fn = self._wrap(node, generate(node))
-            self.by_id[node.id] = fn
-            return fn
-
-        def delegate(rt, loop, env, node=node):
-            return rt.compile(node, loop, env)
-        self._delegates[node.id] = delegate
-        return delegate
+        generate = getattr(self, "_gen_" + node.kind.replace("-", "_"), None)
+        if generate is None:  # pragma: no cover - planner emits known kinds
+            raise XQueryUnsupportedError(
+                f"unsupported plan operator {node.kind}")
+        fn = self._wrap(node, generate(node))
+        self.by_id[node.id] = fn
+        return fn
 
     def _wrap(self, node: PlanNode, raw: Callable) -> Callable:
-        """Bake the interpreter ``compile()`` entry-point semantics into a
-        closure: the cross-query subplan-cache consultation, then the
-        shared-subplan (CSE) memoisation.  Nodes with neither stay raw."""
+        """Wrap a closure in the cross-query subplan-cache consultation,
+        then the shared-subplan (CSE) memoisation.  Nodes with neither stay
+        raw."""
         fingerprint = self.plan.cache_keys.get(node.id)
         shared = node.id in self.plan.shared \
             and node.id not in self.plan.impure
@@ -171,7 +139,7 @@ class _ClosureBuilder:
                     shared=shared, raw=raw, kind=kind):
             if fingerprint is not None and rt._subplan_cache is not None:
                 materialized = rt._materialized_subplan(
-                    node, fingerprint, loop, env, evaluate=raw)
+                    node, fingerprint, loop, env, raw)
                 if materialized is not None:
                     return materialized
             if not shared:
@@ -194,11 +162,15 @@ class _ClosureBuilder:
         return "pos" in self.plan.required_columns(node)
 
     def _needs_item(self, node: PlanNode) -> tuple[bool, bool]:
-        """The interpreter's ``_needs_item`` split into (static verdict,
-        cache-dependent bit): the one dynamic input is whether a cross-query
-        subplan cache is attached — cache-marked nodes must materialise
-        items for *other* queries' consumers — so the closure evaluates
-        ``static or (cache_dependent and rt._subplan_cache is not None)``.
+        """Whether any consumer reads the ``item`` column, split into
+        (static verdict, cache-dependent bit).  ``False`` lets the executor
+        skip value materialisation entirely — pure-cardinality consumers
+        such as ``count()`` read ``iter`` alone.  The one dynamic input is
+        whether a cross-query subplan cache is attached: cache-marked nodes
+        must materialise items for *other* queries' consumers, whose
+        requirements this plan's analysis knows nothing about — so the
+        closure evaluates ``static or (cache_dependent and
+        rt._subplan_cache is not None)``.
         """
         if not self.typed_columns:
             return True, False
@@ -212,8 +184,8 @@ class _ClosureBuilder:
     # ------------------------------------------------------------------ #
     def _inline_const(self, child: PlanNode) -> bool:
         """A constant operand's per-iteration view can be built directly
-        (no lifted table) — except for shared consts, whose memoisation
-        trace records must stay identical to the interpreter's."""
+        (no lifted table) — except for shared consts, which go through
+        their memoising closure like any other shared subplan."""
         return child.kind == "const" and child.id not in self.plan.shared
 
     def _scalar_source(self, child: PlanNode) -> Callable:
@@ -225,7 +197,7 @@ class _ClosureBuilder:
             return lambda rt, loop, env: dict.fromkeys(loop.col("iter"),
                                                        value)
         fn = self.closure(child)
-        return lambda rt, loop, env: _singleton_values(fn(rt, loop, env))
+        return lambda rt, loop, env: singleton_values(fn(rt, loop, env))
 
     def _grouped_source(self, child: PlanNode) -> Callable:
         """``fn(rt, loop, env) -> {iteration: [items]}`` (sequence view)."""
@@ -238,7 +210,7 @@ class _ClosureBuilder:
 
     def _ebv_source(self, child: PlanNode) -> Callable:
         """``fn(rt, loop, env) -> {iteration: effective boolean value}``.
-        Constant operands precompute their EBV at codegen time."""
+        Constant operands precompute their EBV at compile time."""
         if self._inline_const(child):
             verdict = effective_boolean_value([child.p("value")])
             return lambda rt, loop, env: dict.fromkeys(loop.col("iter"),
@@ -645,8 +617,16 @@ class _ClosureBuilder:
     # ------------------------------------------------------------------ #
     def _chain_nodes(self, node: PlanNode, *, trim_at_cache: bool
                      ) -> list[PlanNode] | None:
-        """The step nodes (head first) of the node's fused chain, mirroring
-        the interpreter's ``_fused_chain`` for one cache configuration."""
+        """The step nodes (head first) of the node's fused chain for one
+        cache configuration.
+
+        The rewrite analysis annotated the maximal absorbable chain length;
+        with ``trim_at_cache`` a cache-marked interior node stays a chain
+        boundary — its materialised item sequence is shared with other
+        queries, so it is evaluated standalone (consulting and populating
+        its cache slot) and the chain is trimmed above it.  Returns
+        ``None`` when fewer than two steps survive (per-step path).
+        """
         if not self.step_fusion:
             return None
         length = self.plan.fused_chains.get(node.id, 0)
@@ -769,25 +749,23 @@ class _ClosureBuilder:
         if name.startswith("fn:"):
             name = name[3:]
 
-        if name == "position" and not node.children:
+        if name in ("position", "last") and not node.children:
+            slot = f"fs:{name}"
+
             def fn(rt, loop, env):
-                table = env.get("fs:position")
+                table = env.get(slot)
                 if table is None:
                     raise XQueryRuntimeError(
-                        "position() used outside a predicate")
-                return table
-            return fn
-        if name == "last" and not node.children:
-            def fn(rt, loop, env):
-                table = env.get("fs:last")
-                if table is None:
-                    raise XQueryRuntimeError(
-                        "last() used outside a predicate")
+                        f"{name}() used outside a predicate")
                 return table
             return fn
 
-        # the coverage analysis routed user functions and unknown names to
-        # the interpreter, so this lookup cannot fail at codegen time
+        planned = self.plan.functions.get(node.p("name")) \
+            or self.plan.functions.get(name)
+        if planned is not None:
+            return self._user_call(node, planned)
+
+        # an unknown name raises here: a static error, surfaced by prepare()
         implementation = functions.lookup(name)
 
         if name in _CONTEXT_BUILTINS and not node.children:
@@ -806,4 +784,119 @@ class _ClosureBuilder:
             return implementation(
                 rt, loop, [argument(rt, loop, env)
                            for argument in argument_fns])
+        return fn
+
+    def _user_call(self, node: PlanNode, planned) -> Callable:
+        """A user-defined function call: bind the evaluated arguments to
+        the parameters and run the body's closure.  The body closure is
+        looked up per call (function bodies are plan roots, so it exists
+        once compilation finishes) — resolving it eagerly would recurse
+        forever on a recursive function, which instead fails at run time
+        through the call-stack check."""
+        function_name = planned.name
+        parameters = planned.parameters
+        argument_fns = [self.closure(argument)
+                        for argument in node.children]
+        by_id = self.by_id
+        body_id = planned.body.id
+
+        def fn(rt, loop, env):
+            if function_name in rt._call_stack:
+                raise XQueryUnsupportedError(
+                    f"recursive user function {function_name}() is not "
+                    "supported by the eager loop-lifting evaluator")
+            if len(argument_fns) != len(parameters):
+                raise XQueryTypeError(
+                    f"{function_name}() expects {len(parameters)} "
+                    f"arguments, got {len(argument_fns)}")
+            call_env = {parameter: argument(rt, loop, env)
+                        for parameter, argument
+                        in zip(parameters, argument_fns)}
+            rt._call_stack.append(function_name)
+            try:
+                return by_id[body_id](rt, loop, call_env)
+            finally:
+                rt._call_stack.pop()
+        return fn
+
+    # ------------------------------------------------------------------ #
+    # constructors
+    # ------------------------------------------------------------------ #
+    def _content_sources(self, spec, children) -> list:
+        """The parts of a constructor's content (or attribute value
+        template) ``spec``: a literal text part stays a string, an ``"e"``
+        part becomes the grouped source of the next child expression."""
+        expressions = iter(children)
+        return [self._grouped_source(next(expressions)) if part == "e"
+                else part[1] for part in spec]
+
+    def _template_source(self, template: PlanNode) -> Callable:
+        """``fn(rt, loop, env) -> {iteration: str}`` rendering an attribute
+        value template: literal parts verbatim, each expression's items
+        as strings joined by single spaces."""
+        parts = self._content_sources(template.p("spec"), template.children)
+
+        def source(rt, loop, env):
+            pieces = [part if isinstance(part, str) else part(rt, loop, env)
+                      for part in parts]
+            values: dict[int, str] = {}
+            for iteration in loop.col("iter"):
+                rendered: list[str] = []
+                for piece in pieces:
+                    if isinstance(piece, str):
+                        rendered.append(piece)
+                    else:
+                        rendered.append(" ".join(
+                            to_string(item)
+                            for item in piece.get(iteration, [])))
+                values[iteration] = "".join(rendered)
+            return values
+        return source
+
+    def _gen_elem(self, node: PlanNode) -> Callable:
+        name = node.p("name")
+        attr_names = node.p("attr_names")
+        template_srcs = [(attribute_name, self._template_source(template))
+                         for attribute_name, template
+                         in zip(attr_names, node.children)]
+        content_parts = self._content_sources(
+            node.p("content_spec"), node.children[len(attr_names):])
+
+        def fn(rt, loop, env):
+            # attribute templates, then content expressions, evaluated in
+            # document order: constructed children precede their parent
+            attribute_values = [(attribute_name, source(rt, loop, env))
+                                for attribute_name, source in template_srcs]
+            content_values = [part if isinstance(part, str)
+                              else part(rt, loop, env)
+                              for part in content_parts]
+            container = rt.engine.transient
+            values: dict[int, Any] = {}
+            for iteration in loop.col("iter"):
+                attributes = [(attribute_name, per_iter.get(iteration, ""))
+                              for attribute_name, per_iter
+                              in attribute_values]
+                content: list[Any] = []
+                for part in content_values:
+                    if isinstance(part, str):
+                        content.append(part)
+                    else:
+                        content.extend(part.get(iteration, []))
+                values[iteration] = construct_element(container, name,
+                                                      attributes, content)
+            return singleton_per_iter(loop, values)
+        return fn
+
+    def _gen_text(self, node: PlanNode) -> Callable:
+        content_src = self._grouped_source(node.children[0])
+
+        def fn(rt, loop, env):
+            grouped = content_src(rt, loop, env)
+            container = rt.engine.transient
+            values: dict[int, Any] = {}
+            for iteration in loop.col("iter"):
+                text = " ".join(to_string(item)
+                                for item in grouped.get(iteration, []))
+                values[iteration] = construct_text(container, text)
+            return singleton_per_iter(loop, values)
         return fn

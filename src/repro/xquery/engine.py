@@ -104,15 +104,6 @@ class EngineOptions:
     #: ``False`` restores the pairwise join schedule of the cost-based
     #: planner bit-identically
     wcoj: bool = True
-    #: plan-to-Python codegen: at prepare time every covered operator of the
-    #: optimized plan compiles into a specialized executor closure (static
-    #: decisions — params, schedules, column requirements, fused chains —
-    #: resolved once; constants inlined), cached on the prepared query next
-    #: to the plan.  Uncovered subtrees (node constructors, user functions)
-    #: fall back to the interpreter per node.  ``False`` is the pure
-    #: operator-at-a-time interpreter baseline; plans and results are
-    #: bit-identical either way
-    codegen: bool = True
 
     def replace(self, **changes: Any) -> "EngineOptions":
         return replace(self, **changes)
@@ -134,19 +125,13 @@ class PlanCacheStats:
     hits: int = 0
     misses: int = 0
     evictions: int = 0
-    #: plans compiled to specialized executors at prepare time (codegen)
-    compiled: int = 0
-    #: plan operators left to the interpreter across those compilations
-    codegen_fallbacks: int = 0
 
     def clear(self) -> None:
         self.hits = self.misses = self.evictions = 0
-        self.compiled = self.codegen_fallbacks = 0
 
     def snapshot(self) -> "PlanCacheStats":
         """An independent copy (for reporting from another thread)."""
-        return PlanCacheStats(self.hits, self.misses, self.evictions,
-                              self.compiled, self.codegen_fallbacks)
+        return PlanCacheStats(self.hits, self.misses, self.evictions)
 
 
 @dataclass
@@ -165,10 +150,10 @@ class PreparedQuery:
     plan: OptimizedModulePlan
     options: "EngineOptions"
     engine: "MonetXQuery" = field(repr=False)
-    #: the plan's :class:`~repro.xquery.codegen.CompiledProgram` when the
-    #: ``codegen`` option is on (``None`` = interpret); cached here so the
+    #: the plan's :class:`~repro.xquery.codegen.CompiledProgram` — the
+    #: executable form every run goes through; cached here so the
     #: plan-cache key (text + store version + options) governs both
-    compiled: Any = field(default=None, repr=False)
+    compiled: Any = field(repr=False)
 
     def run(self, *, context: str | None = None) -> "QueryResult":
         """Execute the optimized plan and return the result sequence."""
@@ -294,13 +279,6 @@ class MonetXQuery:
             self._default_context = name
         return container
 
-    def register_container(self, container: DocumentContainer, *,
-                           default_context: bool = True) -> None:
-        """Register an already shredded container (e.g. an XMark document)."""
-        self.store.register(container)
-        if default_context and self._default_context is None:
-            self._default_context = container.name
-
     def drop_document(self, name: str) -> None:
         self.store.drop(name)
         if self._default_context == name:
@@ -368,8 +346,7 @@ class MonetXQuery:
         module = parser.parse(query)
         optimized = optimize(plan_module(module), active,
                              statistics=StoreStatistics.from_store(self.store))
-        compiled = compile_plan(optimized, active) \
-            if getattr(active, "codegen", True) else None
+        compiled = compile_plan(optimized, active)
         prepared = PreparedQuery(text=query, plan=optimized,
                                  options=active, engine=self,
                                  compiled=compiled)
@@ -379,18 +356,9 @@ class MonetXQuery:
                 if existing is not None:
                     return existing
                 self._plan_cache[key] = prepared
-                if compiled is not None:
-                    self.plan_cache_stats.compiled += 1
-                    self.plan_cache_stats.codegen_fallbacks += \
-                        len(compiled.fallbacks)
                 while len(self._plan_cache) > self.plan_cache_size:
                     self._plan_cache.popitem(last=False)
                     self.plan_cache_stats.evictions += 1
-        elif compiled is not None:
-            with self._plan_lock:
-                self.plan_cache_stats.compiled += 1
-                self.plan_cache_stats.codegen_fallbacks += \
-                    len(compiled.fallbacks)
         return prepared
 
     def explain(self, query: str, *,
@@ -420,18 +388,6 @@ class MonetXQuery:
         with self._plan_lock:
             self._plan_cache.clear()
 
-    def execute(self, module, *, context: str | None = None,
-                options: EngineOptions | None = None) -> QueryResult:
-        """Evaluate an already parsed module (uncached plan pipeline)."""
-        active_options = options if options is not None else self.options
-        compiler = LoopLiftingCompiler(_EngineView(self, active_options))
-        context_item = self._context_item(context)
-        started = time.perf_counter()
-        items = compiler.run(module, context_item=context_item)
-        elapsed = time.perf_counter() - started
-        return QueryResult(items=items, elapsed_seconds=elapsed,
-                           step_stats=compiler.step_stats)
-
     def _run_prepared(self, prepared: PreparedQuery, *,
                       context: str | None = None,
                       transient=None) -> QueryResult:
@@ -442,9 +398,8 @@ class MonetXQuery:
             _EngineView(self, prepared.options, transient=transient))
         context_item = self._context_item(context)
         started = time.perf_counter()
-        items = compiler.run_optimized(prepared.plan,
-                                       context_item=context_item,
-                                       compiled=prepared.compiled)
+        items = compiler.run_optimized(prepared.plan, prepared.compiled,
+                                       context_item=context_item)
         elapsed = time.perf_counter() - started
         return QueryResult(items=items, elapsed_seconds=elapsed,
                            step_stats=compiler.step_stats)

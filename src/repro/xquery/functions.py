@@ -24,7 +24,7 @@ from typing import Any, Callable, Sequence
 from ..errors import XQueryRuntimeError, XQueryTypeError, XQueryUnsupportedError
 from ..xml.document import NodeKind, NodeRef
 from .sequences import (items_by_iteration, lift_constant, sequence_items,
-                        singleton_per_iter)
+                        singleton_per_iter, singleton_values)
 from .types import atomize, effective_boolean_value, to_number, to_string
 
 
@@ -49,28 +49,14 @@ def lookup(name: str) -> FunctionImpl:
         raise XQueryUnsupportedError(f"unknown function {name}()") from None
 
 
-def is_builtin(name: str) -> bool:
-    if name.startswith("fn:"):
-        name = name[3:]
-    return name in _REGISTRY
-
-
 # --------------------------------------------------------------------------- #
 # helpers
 # --------------------------------------------------------------------------- #
-def _first_by_iter(table) -> dict[int, Any]:
-    """First item of each iteration (singleton access)."""
-    first: dict[int, Any] = {}
-    for iteration, item in zip(table.col("iter"), table.col("item")):
-        first.setdefault(iteration, item)
-    return first
-
-
 def _map_items(compiler, loop, args, function, *, required: int | None = None,
                skip_missing: bool = True):
     """Apply ``function`` per iteration to the first item of each argument."""
     required = len(args) if required is None else required
-    firsts = [_first_by_iter(argument) for argument in args]
+    firsts = [singleton_values(argument) for argument in args]
     values: dict[int, Any] = {}
     for iteration in loop.col("iter"):
         operands = [first.get(iteration) for first in firsts]
@@ -211,8 +197,8 @@ def fn_one_or_more(compiler, loop, args):
 def fn_subsequence(compiler, loop, args):
     from .sequences import from_iter_items
     grouped = items_by_iteration(args[0])
-    starts = _first_by_iter(args[1])
-    lengths = _first_by_iter(args[2]) if len(args) > 2 else {}
+    starts = singleton_values(args[1])
+    lengths = singleton_values(args[2]) if len(args) > 2 else {}
     pairs: list[tuple[int, Any]] = []
     for iteration in loop.col("iter"):
         items = grouped.get(iteration, [])
@@ -322,7 +308,7 @@ def fn_concat(compiler, loop, args):
 @register("string-join")
 def fn_string_join(compiler, loop, args):
     grouped = items_by_iteration(args[0])
-    separators = _first_by_iter(args[1]) if len(args) > 1 else {}
+    separators = singleton_values(args[1]) if len(args) > 1 else {}
     values: dict[int, str] = {}
     for iteration in loop.col("iter"):
         separator = to_string(separators.get(iteration, ""))
@@ -386,7 +372,7 @@ def fn_abs(compiler, loop, args):
 # --------------------------------------------------------------------------- #
 @register("doc")
 def fn_doc(compiler, loop, args):
-    names = _first_by_iter(args[0])
+    names = singleton_values(args[0])
     values: dict[int, Any] = {}
     for iteration in loop.col("iter"):
         name = names.get(iteration)

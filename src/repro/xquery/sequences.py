@@ -147,6 +147,14 @@ def items_by_iteration(sequence: Table) -> dict[int, list[Any]]:
     return grouped
 
 
+def singleton_values(sequence: Table) -> dict[int, Any]:
+    """The first item per iteration (the singleton-value view)."""
+    values: dict[int, Any] = {}
+    for iteration, item in zip(sequence.col("iter"), sequence.col("item")):
+        values.setdefault(iteration, item)
+    return values
+
+
 def ensure_sequence_order(sequence: Table, *, use_properties: bool = True) -> Table:
     """Guarantee the ``[iter, pos]`` ordering of a sequence table."""
     from ..relational.sorting import sort
@@ -222,13 +230,6 @@ def lift_environment(environment: dict[str, Table], scope_map: Table, *,
         result.props.order = ("iter", "pos")
         lifted[name] = result
     return lifted
-
-
-def restrict_loop(loop: Table, iterations: Iterable[int]) -> Table:
-    """A new loop relation containing only the given iterations (order kept)."""
-    wanted = set(iterations)
-    kept = [iteration for iteration in loop.col("iter") if iteration in wanted]
-    return make_loop(kept)
 
 
 def restrict_sequence(sequence: Table, iterations: Iterable[int]) -> Table:

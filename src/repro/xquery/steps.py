@@ -47,7 +47,6 @@ from ..staircase.loop_lifted import (iterative_step_arrays, ll_attribute,
                                      loop_lifted_step_arrays, pairs_to_arrays)
 from ..staircase.pushdown import loop_lifted_step_pushdown
 from ..xml.document import DocumentContainer, NodeKind, NodeRef
-from . import ast
 
 
 @dataclass
@@ -58,12 +57,6 @@ class StepOptions:
     loop_lifted_descendant: bool = True
     loop_lifted_other: bool = True
     nametest_pushdown: bool = True
-
-
-def node_test_from_ast(test: "ast.NodeTestExpr") -> NodeTest:
-    """Translate an AST node test into a staircase-join node test."""
-    name = test.name if test.name not in (None, "*") else None
-    return NodeTest(kind=test.kind, name=name)
 
 
 def _wants_loop_lifted(axis: Axis, options: StepOptions) -> bool:

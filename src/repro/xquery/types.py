@@ -28,10 +28,6 @@ def atomize(item: Any) -> Any:
     return item
 
 
-def atomize_sequence(items: Sequence[Any]) -> list[Any]:
-    return [atomize(item) for item in items]
-
-
 def to_number(value: Any) -> float | int | None:
     """Cast a value to a number; returns ``None`` when the cast fails."""
     value = atomize(value)
@@ -88,14 +84,3 @@ def effective_boolean_value(items: Sequence[Any]) -> bool:
     if isinstance(first, str):
         return len(first) > 0
     return True
-
-
-def is_node(item: Any) -> bool:
-    return isinstance(item, NodeRef)
-
-
-def document_order_key(item: Any):
-    """Sort key by document order (nodes only)."""
-    if not isinstance(item, NodeRef):
-        raise XQueryTypeError("document order is only defined on nodes")
-    return item.order_key()

@@ -1,10 +1,11 @@
-"""Plan-to-Python codegen: compiled closures vs. the interpreter.
+"""The executor: the prepare-time closure program every plan runs through.
 
-Every covered operator kind must execute bit-identically through its
-specialized closure; uncovered subtrees (node constructors, user
-functions) must fall back per node with a reported reason; and the
-compiled program must share the plan cache's lifecycle (store-version
-invalidation, options keying).
+Every operator kind must produce the tree-walking baseline's result; every
+non-structural plan node must compile to a closure (there is no other way
+to run it); function-name errors are static (raised by ``prepare()``) while
+recursion is detected at run time; and the compiled program must share the
+plan cache's lifecycle (store-version invalidation, options keying) and
+serve the thread and process serving modes.
 """
 
 from __future__ import annotations
@@ -12,15 +13,20 @@ from __future__ import annotations
 import pytest
 
 from repro import EngineOptions, MonetXQuery
+from repro.baselines.interpreter import run_baseline
+from repro.errors import XQueryTypeError, XQueryUnsupportedError
 from repro.relational import capture
+from repro.xmark import XMARK_QUERIES, xmark_query
+from repro.xml.serializer import serialize_sequence
 from repro.xquery.codegen import CompiledProgram, compile_plan
 
 from conftest import SMALL_XML
 
 
-#: one query per covered operator kind (some exercise several at once)
+#: one query per operator kind (some exercise several at once)
 KIND_QUERIES = {
     "const": "42",
+    "empty": "count(())",
     "seq": "(1, 2, 3)",
     "range": "1 to 4",
     "arith": "2 + 3 * 4",
@@ -53,7 +59,25 @@ KIND_QUERIES = {
                    "satisfies $b/increase/text() >= 5 "
                    "return $a/@id"),
     "var-global": "declare variable $n := count(//person); $n + 1",
+    "elem": ("for $p in /site/people/person "
+             "return <n id='{$p/@id}' k='x{1 + 1}y'>"
+             "{count($p/profile/interest)} {$p/name}</n>"),
+    "elem-nested": "<r>{for $i in (1 to 3) return <c>{$i}</c>}</r>",
+    "text": "for $i in //item return text { $i/name }",
+    "user-call": ("declare function local:rich($p) "
+                  "{ $p/profile/@income >= 40000 }; "
+                  "for $p in /site/people/person "
+                  "where local:rich($p) return $p/name/text()"),
+    "user-call-nested": ("declare function local:add($a, $b) { $a + $b }; "
+                         "local:add(local:add(1, 2), 3) * local:add(4, 5)"),
+    "user-call-constructs": ("declare function local:wrap($x) "
+                             "{ <w>{$x}</w> }; "
+                             "for $n in //person/name return local:wrap($n)"),
 }
+
+#: plan operators with no closure of their own: their parent's closure
+#: consumes them inline
+STRUCTURAL_KINDS = {"for", "let", "orderspec", "avt"}
 
 
 @pytest.fixture
@@ -63,69 +87,71 @@ def engine() -> MonetXQuery:
     return mxq
 
 
-class TestPerKindBitIdentity:
+def closure_targets(prepared) -> set[int]:
+    """Ids of every non-structural node reachable from the plan roots."""
+    return {node.id for root in prepared.plan.roots()
+            for node in root.walk() if node.kind not in STRUCTURAL_KINDS}
+
+
+class TestPerKindResults:
     @pytest.mark.parametrize("kind", sorted(KIND_QUERIES))
-    def test_compiled_matches_interpreted(self, engine, kind):
+    def test_matches_tree_walking_interpreter(self, engine, kind):
         query = KIND_QUERIES[kind]
-        with capture() as trace:
-            compiled = engine.query(
-                query, options=EngineOptions(codegen=True))
-        interpreted = engine.query(
-            query, options=EngineOptions(codegen=False))
-        assert compiled.serialize() == interpreted.serialize(), query
-        # the compiled path must actually have been taken
-        assert trace.count("plan.codegen") == 1
-
-    def test_interpreter_run_emits_no_codegen_trace(self, engine):
-        with capture() as trace:
-            engine.query("count(//person)",
-                         options=EngineOptions(codegen=False))
-        assert trace.count("plan.codegen") == 0
+        expected = serialize_sequence(
+            run_baseline(engine.store, query, "auction.xml"))
+        assert engine.query(query).serialize() == expected, query
 
 
-class TestFallbacks:
-    def test_constructor_subtree_falls_back(self, engine):
+class TestClosureCoverage:
+    """``compile_plan`` builds one closure per non-structural node."""
+
+    def assert_fully_compiled(self, prepared):
+        program = prepared.compiled
+        targets = closure_targets(prepared)
+        assert set(program.by_id) == targets, prepared.text
+        assert program.compiled_count == len(targets)
+        assert program.fallbacks == {}
+
+    @pytest.mark.parametrize("kind", sorted(KIND_QUERIES))
+    def test_kind_queries(self, engine, kind):
+        self.assert_fully_compiled(engine.prepare(KIND_QUERIES[kind]))
+
+    def test_xmark_queries(self, xmark_engine):
+        for number in sorted(XMARK_QUERIES):
+            self.assert_fully_compiled(
+                xmark_engine.prepare(xmark_query(number)))
+
+    def test_plan_dump_has_no_executor_annotations(self, engine):
+        rendered = engine.explain(KIND_QUERIES["elem"])
+        assert "(codegen)" not in rendered
+        assert "(interpreted" not in rendered
+        assert "codegen" not in rendered
+
+
+class TestErrors:
+    def test_unknown_function_is_static(self, engine):
+        # XPST0017: an unknown function name fails at prepare time, even
+        # in a branch that would never run
+        with pytest.raises(XQueryUnsupportedError, match="no-such"):
+            engine.prepare("if (1 = 2) then local:no-such(1) else 0")
+
+    def test_unknown_function_is_not_cached(self, engine):
+        for _ in range(2):
+            with pytest.raises(XQueryUnsupportedError):
+                engine.prepare("fn:frobnicate(1)")
+        assert engine.plan_cache_stats.hits == 0
+
+    def test_recursive_function_raises_at_run(self, engine):
         prepared = engine.prepare(
-            "for $p in /site/people/person "
-            "return <n>{count($p/profile/interest)}</n>")
-        assert prepared.compiled is not None
-        assert "node constructor" in prepared.compiled.fallbacks.values()
-        # covered operators around the constructor still compile
-        assert prepared.compiled.compiled_count > 0
-        compiled = prepared.run().serialize()
-        interpreted = engine.query(
-            prepared.text, options=EngineOptions(codegen=False)).serialize()
-        assert compiled == interpreted
+            "declare function local:f($x) { local:f($x) }; local:f(1)")
+        with pytest.raises(XQueryUnsupportedError, match="recursive"):
+            prepared.run()
 
-    def test_user_function_falls_back_but_body_compiles(self, engine):
-        query = ("declare function local:rich($p) "
-                 "{ $p/profile/@income >= 40000 }; "
-                 "for $p in /site/people/person "
-                 "where local:rich($p) return $p/name/text()")
-        prepared = engine.prepare(query)
-        assert "user function" in prepared.compiled.fallbacks.values()
-        # the function *body*'s operators are covered: they run through
-        # compiled closures when the interpreter evaluates the call
-        assert prepared.compiled.compiled_count > 0
-        assert prepared.run().strings() == ["Alice"]
-
-    def test_fallback_reasons_in_explain(self, engine):
-        rendered = engine.explain(
-            "for $p in /site/people/person return <n>{$p/name}</n>")
-        assert "(interpreted: node constructor)" in rendered
-        assert "(codegen)" in rendered
-
-    def test_coverage_report_always_fires(self, engine):
-        # coverage is computed unconditionally so plan dumps agree
-        for codegen in (True, False):
-            prepared = engine.prepare(
-                "count(//person)", options=EngineOptions(codegen=codegen))
-            assert prepared.plan.report.fired("codegen")
-
-    def test_fallback_report_entries(self, engine):
-        prepared = engine.prepare("<r>{count(//person)}</r>")
-        entries = prepared.plan.report.fired("codegen-fallback")
-        assert any("node constructor" in entry for entry in entries)
+    def test_arity_mismatch_raises_type_error(self, engine):
+        prepared = engine.prepare(
+            "declare function local:f($x) { $x }; local:f(1, 2)")
+        with pytest.raises(XQueryTypeError, match="expects 1"):
+            prepared.run()
 
 
 class TestPlanCacheIntegration:
@@ -145,56 +171,24 @@ class TestPlanCacheIntegration:
         assert after.compiled is not before.compiled
         assert after.run().items == [3]
 
-    def test_codegen_off_prepares_without_compiled_program(self, engine):
-        prepared = engine.prepare("count(//person)",
-                                  options=EngineOptions(codegen=False))
-        assert prepared.compiled is None
+    def test_options_keying_separates_programs(self, engine):
+        fused = engine.prepare("count(//person)")
+        per_step = engine.prepare("count(//person)",
+                                  options=EngineOptions(step_fusion=False))
+        assert fused is not per_step
+        assert fused.compiled is not per_step.compiled
+        assert fused.run().items == per_step.run().items == [3]
+
+    def test_uncached_engine_still_compiles(self):
+        uncached = MonetXQuery(plan_cache_size=0)
+        uncached.load_document_text(SMALL_XML, name="auction.xml")
+        prepared = uncached.prepare("count(//person)")
+        assert isinstance(prepared.compiled, CompiledProgram)
         assert prepared.run().items == [3]
-
-    def test_options_keying_separates_compiled_and_interpreted(self, engine):
-        compiled = engine.prepare("count(//person)",
-                                  options=EngineOptions(codegen=True))
-        interpreted = engine.prepare("count(//person)",
-                                     options=EngineOptions(codegen=False))
-        assert compiled is not interpreted
-
-    def test_stats_counters(self, engine):
-        engine.prepare("count(//person)")
-        engine.prepare("count(//person)")        # cache hit: no recount
-        engine.prepare("<r>{count(//person)}</r>")
-        stats = engine.plan_cache_stats_snapshot()
-        assert stats.compiled == 2
-        assert stats.codegen_fallbacks >= 1      # the element constructor
-        cleared = engine.plan_cache_stats
-        cleared.clear()
-        assert cleared.compiled == cleared.codegen_fallbacks == 0
-
-    def test_codegen_off_counts_nothing(self):
-        engine = MonetXQuery(EngineOptions(codegen=False))
-        engine.load_document_text(SMALL_XML, name="auction.xml")
-        engine.prepare("count(//person)")
-        stats = engine.plan_cache_stats_snapshot()
-        assert stats.compiled == 0
-        assert stats.codegen_fallbacks == 0
-
-
-class TestPlanRenderParity:
-    def test_plan_render_identical_with_and_without_codegen(self, engine):
-        """The codegen switch changes execution only: the optimized plan
-        (including the coverage annotations) renders byte-identically."""
-        queries = [
-            "count(//person)",
-            "for $p in /site/people/person return <n>{$p/name}</n>",
-            KIND_QUERIES["flwor-join"],
-        ]
-        for query in queries:
-            on = engine.prepare(query, options=EngineOptions(codegen=True))
-            off = engine.prepare(query, options=EngineOptions(codegen=False))
-            assert on.explain() == off.explain(), query
 
 
 class TestPositionalFusedChains:
-    """Satellite: ``[k]`` / ``[last()]`` predicates inside fused chains."""
+    """``[k]`` / ``[last()]`` predicates inside fused chains."""
 
     POSITIONAL_QUERIES = [
         "/site/people/person[1]/name",
@@ -215,30 +209,22 @@ class TestPositionalFusedChains:
             query, options=EngineOptions(step_fusion=False))
         assert fused.serialize() == baseline.serialize(), query
 
-    def test_positional_chain_under_interpreter_too(self, engine):
-        """The chain runner is shared: the interpreter (codegen=False)
-        takes the same positional fused path."""
-        with capture() as trace:
-            result = engine.query("/site/people/person[2]/name",
-                                  options=EngineOptions(codegen=False))
-        assert trace.count("step.chain-positional") == 1
-        assert result.strings() == ["Bob"]
-
 
 class TestCompileFunction:
     def test_compile_plan_covers_and_reports(self, engine):
         prepared = engine.prepare("count(//person)")
         program = compile_plan(prepared.plan, prepared.options)
-        assert program.compiled_count > 0
+        assert program.compiled_count == len(closure_targets(prepared))
         assert program.fallbacks == {}
 
     def test_compiled_program_is_shareable(self, engine):
         """One CompiledProgram serves many executions (and threads): the
         closures keep no run state, so repeated runs agree."""
-        prepared = engine.prepare(KIND_QUERIES["flwor-join"])
-        first = prepared.run().serialize()
-        for _ in range(3):
-            assert prepared.run().serialize() == first
+        for kind in ("flwor-join", "user-call-constructs"):
+            prepared = engine.prepare(KIND_QUERIES[kind])
+            first = prepared.run().serialize()
+            for _ in range(3):
+                assert prepared.run().serialize() == first
 
 
 class TestServingIntegration:
@@ -250,10 +236,10 @@ class TestServingIntegration:
             for _ in range(3):
                 assert server.execute("count(//person)").items == [3]
             stats = server.stats()
-            assert stats.plan_cache.compiled >= 1
+            assert stats.plan_cache.hits >= 1
             rendered = stats.render()
-            assert "compiled=" in rendered
-            assert "fallback=" in rendered
+            assert "plans[hit=" in rendered
+            assert "compiled=" not in rendered
 
     def test_process_pool_serves_compiled_plans(self):
         from repro.server import QueryServer
@@ -262,6 +248,7 @@ class TestServingIntegration:
             "count(//person)",
             KIND_QUERIES["flwor-join"],
             "/site/people/person[2]/name/text()",
+            KIND_QUERIES["user-call-constructs"],
         ]
         with QueryServer(threads=2) as threaded, \
                 QueryServer(processes=1) as pooled:

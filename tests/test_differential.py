@@ -703,35 +703,6 @@ def test_multi_join_fuzzer_long_mode(differential_engine):
                 f"interpreter on:\n{query}")
 
 
-def test_codegen_switch_is_ablated():
-    """``codegen`` must be part of the generic harness: OPTION_NAMES is
-    derived from the dataclass fields, so the single-switch configuration
-    and the sampled combinations pick it up automatically."""
-    assert "codegen" in OPTION_NAMES
-    names = [name for name, _ in option_configurations()]
-    assert "no-codegen" in names
-
-
-def test_codegen_bit_identical_to_interpreter(differential_engine,
-                                              baseline_results,
-                                              chain_baseline_results,
-                                              join_baseline_results):
-    """codegen=True (the default) and the pure interpreter must serialize
-    identically on all three fuzzed corpora — compiled closures may change
-    *how* a plan executes, never its bytes."""
-    compiled_options = EngineOptions(codegen=True)
-    interpreted_options = EngineOptions(codegen=False)
-    oracle = {**baseline_results, **chain_baseline_results,
-              **join_baseline_results}
-    for query, expected in oracle.items():
-        compiled_result = differential_engine.query(
-            query, options=compiled_options)
-        interpreted_result = differential_engine.query(
-            query, options=interpreted_options)
-        assert compiled_result.serialize() \
-            == interpreted_result.serialize() == expected, query
-
-
 def test_generator_covers_the_query_families():
     queries = "\n".join(generated_queries())
     assert "for $" in queries
