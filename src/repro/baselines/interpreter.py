@@ -471,7 +471,6 @@ class TreeWalkingInterpreter:
 
     # -- constructors ----------------------------------------------------------------- #
     def _eval_ElementConstructor(self, node: ast.ElementConstructor, env) -> list[Any]:
-        from ..xquery.constructors import construct_element
         attributes = []
         for attribute_name, template in node.attributes:
             rendered = []
@@ -488,12 +487,69 @@ class TreeWalkingInterpreter:
                 content.append(part)
             else:
                 content.extend(self.evaluate(part, env))
-        return [construct_element(self.transient, node.name, attributes, content)]
+        return [_construct_element(self.transient, node.name, attributes,
+                                   content)]
 
     def _eval_TextConstructor(self, node: ast.TextConstructor, env) -> list[Any]:
-        from ..xquery.constructors import construct_text
         text = " ".join(to_string(item) for item in self.evaluate(node.content, env))
-        return [construct_text(self.transient, text)]
+        return [NodeRef(self.transient,
+                        self.transient.add_node(NodeKind.TEXT, 0, value=text))]
+
+
+def _construct_element(container: DocumentContainer, name: str,
+                       attributes: list[tuple[str, str]],
+                       content: list[Any]) -> NodeRef:
+    """The oracle's own element constructor, independent of the engine's:
+    every content subtree is copied node by node through ``add_node``, so
+    a fault in the engine's range-slice copy or in-place nesting shows up
+    as a difference against this baseline.  Attribute nodes in the content
+    become attributes; adjacent atomics merge into one text node, joined
+    by single spaces."""
+    names = container.names
+    root = container.add_node(NodeKind.ELEMENT, 0, name_id=names.intern(name))
+    for attribute_name, attribute_value in attributes:
+        container.add_attribute(root, names.intern(attribute_name),
+                                attribute_value)
+    pending_atomics: list[str] = []
+
+    def flush_atomics() -> None:
+        if pending_atomics:
+            container.add_node(NodeKind.TEXT, 1,
+                               value=" ".join(pending_atomics), frag=root)
+            pending_atomics.clear()
+
+    for item in content:
+        if not isinstance(item, NodeRef):
+            pending_atomics.append(to_string(item))
+            continue
+        if item.attr is not None:
+            container.add_attribute(root, names.intern(item.name() or "attr"),
+                                    item.string_value())
+            continue
+        flush_atomics()
+        source = item.container
+        tops = source.children_pre(item.pre) \
+            if source.kind[item.pre] == NodeKind.DOCUMENT else [item.pre]
+        for top in tops:
+            base_level = source.level[top] - 1
+            for pre in range(top, top + source.size[top] + 1):
+                name_id = source.name_id[pre]
+                if name_id >= 0:
+                    qname = source.names.name(name_id)
+                    name_id = names.intern(qname.local, qname.namespace)
+                copy = container.add_node(
+                    NodeKind(source.kind[pre]), source.level[pre] - base_level,
+                    name_id=name_id, value=source.value[pre], frag=root,
+                    size=source.size[pre])
+                for slot in source.attributes_of(pre):
+                    attribute = source.names.name(source.attr_name[slot])
+                    container.add_attribute(
+                        copy, names.intern(attribute.local,
+                                           attribute.namespace),
+                        source.attr_value[slot])
+    flush_atomics()
+    container.set_size(root, container.node_count - root - 1)
+    return NodeRef(container, root)
 
 
 def run_baseline(store, query: str, context_document: str) -> list[Any]:

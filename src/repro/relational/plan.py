@@ -144,12 +144,18 @@ def structural_fingerprint(node: PlanNode,
     return fingerprint
 
 
-def count_references(roots: list[PlanNode]) -> dict[int, int]:
+def count_references(roots: list[PlanNode], *,
+                     absorbs: Callable[[PlanNode], bool] | None = None,
+                     absorbed: dict[int, int] | None = None
+                     ) -> dict[int, int]:
     """Parent-edge counts per node id across one or more plan roots.
 
     Each root itself counts as one reference; a node whose count exceeds
     one is a *common subplan* (the DAG analogue of Pathfinder's shared
-    subexpression detection).
+    subexpression detection).  With ``absorbs``, the same walk also
+    tallies into ``absorbed`` the edges from consumers that fold their
+    context child (``children[0]``) into their own evaluation — the
+    consumers for which ``absorbs(consumer)`` holds.
     """
     counts: dict[int, int] = {}
     visited: set[int] = set()
@@ -159,6 +165,9 @@ def count_references(roots: list[PlanNode]) -> dict[int, int]:
         if node.id in visited:
             return
         visited.add(node.id)
+        if absorbs is not None and node.children and absorbs(node):
+            context = node.children[0].id
+            absorbed[context] = absorbed.get(context, 0) + 1
         for child in node.children:
             visit(child)
 

@@ -46,7 +46,9 @@ this module is the equivalent pass over the logical plans built by
   staircase join feed the next join directly, positional predicates run
   as per-context counting on those buffers, and ``NodeRef`` boxing
   happens once, at the chain's end.  Chains never absorb shared
-  (memoised) interior nodes; the executor additionally refuses to fuse
+  (memoised) interior nodes, so sharing never marks a step that every
+  consumer would absorb (``$p//a`` and ``$p//b`` each re-run ``$p//``
+  inside their own chain); the executor additionally refuses to fuse
   across cross-query-cacheable nodes when a subplan cache is attached,
   so cache slots keep materialising.
 
@@ -499,18 +501,27 @@ def optimize(module_plan: "ModulePlan", options: Any = None,
                     f"{item_pruned} location steps materialize no item "
                     "column (pure-cardinality consumers)")
 
-    # 3. common-subplan sharing (mark hash-consed nodes safe to memoise)
+    # 3. common-subplan sharing (mark hash-consed nodes safe to memoise);
+    #    a step that every consumer would absorb into its fused chain is
+    #    left unshared — memoising it would cut every one of those chains
+    #    and box the step's whole output, which costs more than re-running
+    #    it surrogate-free inside each chain
     purity = _PurityAnalysis(functions)
     impure = frozenset(node.id for root in roots for node in root.walk()
                        if purity.impure(node))
     shared: frozenset[int] = frozenset()
     if subplan_sharing:
-        references = count_references(roots)
+        absorbed: dict[int, int] = {}
+        references = count_references(
+            roots, absorbs=_chain_step if step_fusion else None,
+            absorbed=absorbed)
         shared = frozenset(
             node.id for root in roots for node in root.walk()
             if references.get(node.id, 0) > 1
             and node.kind not in _TRIVIAL_KINDS
-            and node.id not in impure)
+            and node.id not in impure
+            and not (_chain_link(node)
+                     and absorbed.get(node.id) == references[node.id]))
         if shared:
             report.fire("common-subexpressions",
                         f"{len(shared)} shared subplans will execute once")
@@ -553,58 +564,64 @@ def optimize(module_plan: "ModulePlan", options: Any = None,
 # --------------------------------------------------------------------------- #
 # step-chain fusion (surrogate-free path pipelines)
 # --------------------------------------------------------------------------- #
+def _chain_step(step: PlanNode) -> bool:
+    """A step joins a fused chain when it is predicate-free, or carries
+    exactly one purely positional predicate (``[k]`` / ``[last()]``) that
+    the chain runner evaluates as per-context counting on the raw buffers;
+    attribute-axis rows use a different rank encoding, so predicated
+    attribute steps stay on the materialising path."""
+    if step.kind != "step":
+        return False
+    if len(step.children) == 1:
+        return True
+    if len(step.children) != 2:
+        return False
+    if getattr(step.p("axis"), "value", None) == "attribute":
+        return False
+    return positional_predicate_spec(step.children[1]) is not None
+
+
+def _chain_link(node: PlanNode) -> bool:
+    """A chain step that can also sit *below* another one: attribute rows
+    live in a separate table and cannot feed a further tree-node staircase
+    join, so the attribute axis may only end a chain.  (The axis compares
+    by enum value to avoid importing the staircase package, whose document
+    types import this package.)"""
+    return _chain_step(node) \
+        and getattr(node.p("axis"), "value", None) != "attribute"
+
+
 def _fusable_chains(roots: list[PlanNode], shared: frozenset[int]
                     ) -> tuple[dict[int, int], frozenset[int]]:
     """Mark chains of consecutive fusable location steps for fusion.
 
-    A ``step`` node *absorbs* its context child when the child
+    A chain step (:func:`_chain_step`) *absorbs* its context child when
+    the child
 
-    * is itself a ``step`` that is predicate-free or carries exactly one
-      purely positional predicate (``[k]`` / ``[last()]``) — general
-      predicates need the nested iteration scope and positions of a
-      materialised intermediate, but positional ones run as per-context
-      counting on the raw ``(iter, pre)`` buffers mid-chain,
+    * is itself a chain step — general predicates need the nested
+      iteration scope and positions of a materialised intermediate, but
+      positional ones run as per-context counting on the raw
+      ``(iter, pre)`` buffers mid-chain,
     * is not marked shared — a memoised subplan must materialise so its
-      other consumers can reuse the result, and
-    * does not use the attribute axis — attribute rows live in a separate
-      table and cannot feed a further tree-node staircase join (the
-      attribute axis may still *end* a chain).
+      other consumers can reuse the result (the sharing pass already left
+      out steps that *every* consumer absorbs), and
+    * does not use the attribute axis (:func:`_chain_link`).
 
-    Every predicate-free step whose absorbable chain is at least two steps
-    long is recorded with that length; the executor fuses from whichever
-    chain end it actually reaches (a DAG node may be the interior of one
+    Every chain step whose absorbable chain is at least two steps long is
+    recorded with that length; the executor fuses from whichever chain
+    end it actually reaches (a DAG node may be the interior of one
     consumer's chain and the head of another's), trimming additionally at
     cross-query-cacheable nodes when a subplan cache is attached.
     """
     lengths: dict[int, int] = {}
-
-    def positional_only(step: PlanNode) -> bool:
-        # a step joins a chain when it is predicate-free, or carries exactly
-        # one purely positional predicate ([k] / [last()]) that the chain
-        # runner evaluates as per-context counting on the raw buffers;
-        # attribute-axis rows use a different rank encoding, so predicated
-        # attribute steps stay on the materialising path
-        if len(step.children) == 1:
-            return True
-        if len(step.children) != 2:
-            return False
-        if getattr(step.p("axis"), "value", None) == "attribute":
-            return False
-        return positional_predicate_spec(step.children[1]) is not None
-
-    def absorbable(child: PlanNode) -> bool:
-        # compare the axis by enum value to avoid importing the staircase
-        # package (whose document types import this package)
-        return (child.kind == "step" and positional_only(child)
-                and child.id not in shared
-                and getattr(child.p("axis"), "value", None) != "attribute")
 
     def down_length(node: PlanNode) -> int:
         cached = lengths.get(node.id)
         if cached is not None:
             return cached
         child = node.children[0]
-        result = 1 + down_length(child) if absorbable(child) else 1
+        result = 1 + down_length(child) \
+            if _chain_link(child) and child.id not in shared else 1
         lengths[node.id] = result
         return result
 
@@ -612,7 +629,7 @@ def _fusable_chains(roots: list[PlanNode], shared: frozenset[int]
     members: set[int] = set()
     for root in roots:
         for node in root.walk():
-            if node.kind != "step" or not positional_only(node):
+            if not _chain_step(node):
                 continue
             length = down_length(node)
             if length < 2:

@@ -151,6 +151,8 @@ class DocumentContainer:
         # per-tag element counts, maintained eagerly while shredding — the
         # statistics the cost-based optimizer derives cardinalities from
         self._tag_counts: dict[int, int] = {}
+        # source name pool id -> (pool, id translation), for subtree copies
+        self._name_maps: dict[int, tuple[NamePool, list[int]]] = {}
 
     # ------------------------------------------------------------------ #
     # construction (used by the shredder and by node constructors)
@@ -213,9 +215,14 @@ class DocumentContainer:
 
     def attributes_of(self, pre: int) -> list[int]:
         """Attribute-table row indexes owned by the element at ``pre``."""
+        return self._attr_index().get(pre, [])
+
+    def _attr_index(self) -> dict[int, list[int]]:
+        """The owner → attribute-slot index (built on first use for
+        read-only backends)."""
         if self._attrs_by_owner is None:
             self._rebuild_attr_index()
-        return self._attrs_by_owner.get(pre, [])
+        return self._attrs_by_owner
 
     def _rebuild_attr_index(self) -> None:
         """(Re)build the owner → attribute-slot index from the attribute
@@ -329,33 +336,73 @@ class DocumentContainer:
                           level_offset: int, frag: int) -> int:
         """Paste the encoding of a subtree of ``source`` into this container.
 
-        The structural part is copied verbatim (pre ranks shift, sizes are
-        preserved); node properties are copied along.  Returns the pre rank
-        the copied subtree root received in this container.
+        The subtree is one contiguous ``pre`` range, so it is copied as
+        column slices: ``size`` and ``kind`` verbatim, ``level`` shifted by
+        one offset, name ids translated through a per-source-pool map, and
+        every copied node stamped with ``frag`` (a leaf takes the one-row
+        ``add_node`` path).  Attributes follow through the source's owner
+        index.  Returns the pre rank the copied subtree root received in
+        this container.
         """
-        base_level = source.level[source_pre]
-        new_root = len(self.size)
-        span = range(source_pre, source_pre + source.size[source_pre] + 1)
-        for pre in span:
-            name_id = source.name_id[pre]
-            new_name_id = -1
+        if self.backend.readonly:
+            raise DocumentError(
+                f"container {self.name!r} is backed by a read-only store; "
+                "updates go through XMLUpdater / DocumentStore.replace")
+        stop = source_pre + source.size[source_pre] + 1
+        if stop == source_pre + 1:
+            # a leaf (mostly a text node): one row, no slices to build
+            name_id = source.name_id[source_pre]
             if name_id >= 0:
-                qname = source.names.name(name_id)
-                new_name_id = self.names.intern(qname.local, qname.namespace)
-            new_pre = self.add_node(
-                NodeKind(source.kind[pre]),
-                source.level[pre] - base_level + level_offset,
-                name_id=new_name_id,
-                value=source.value[pre],
-                frag=frag,
-                size=source.size[pre],
-            )
-            for attr_index in source.attributes_of(pre):
-                attr_name = source.names.name(source.attr_name[attr_index])
-                self.add_attribute(new_pre,
-                                   self.names.intern(attr_name.local, attr_name.namespace),
-                                   source.attr_value[attr_index])
+                name_id = self._name_map(source.names)[name_id]
+            new_root = self.add_node(source.kind[source_pre], level_offset,
+                                     name_id=name_id,
+                                     value=source.value[source_pre],
+                                     frag=frag)
+        else:
+            new_root = len(self.size)
+            shift = level_offset - source.level[source_pre]
+            translate = self._name_map(source.names)
+            name_ids = [translate[name_id]
+                        for name_id in source.name_id[source_pre:stop]]
+            self.size.extend(source.size[source_pre:stop])
+            self.level.extend([level + shift
+                               for level in source.level[source_pre:stop]])
+            self.kind.extend(source.kind[source_pre:stop])
+            self.name_id.extend(name_ids)
+            values = source.value
+            self.value.extend(
+                values[source_pre:stop] if isinstance(values, list)
+                else [values[pre] for pre in range(source_pre, stop)])
+            self.frag.extend([frag] * (stop - source_pre))
+            self._name_index = None
+            tag_counts = self._tag_counts
+            for name_id in name_ids:
+                if name_id >= 0:
+                    tag_counts[name_id] = tag_counts.get(name_id, 0) + 1
+        if source.attribute_count:
+            by_owner = source._attr_index()
+            translate = self._name_map(source.names)
+            offset = new_root - source_pre
+            for pre in range(source_pre, stop):
+                for slot in by_owner.get(pre, ()):
+                    self.add_attribute(pre + offset,
+                                       translate[source.attr_name[slot]],
+                                       source.attr_value[slot])
         return new_root
+
+    def _name_map(self, names: NamePool) -> list[int]:
+        """Ids of ``names`` translated into this container's pool, plus a
+        trailing ``-1`` so the non-element id ``-1`` maps to itself.  Kept
+        per source pool and rebuilt only when that pool has grown."""
+        cached = self._name_maps.get(id(names))
+        if cached is not None and cached[0] is names \
+                and len(cached[1]) == len(names) + 1:
+            return cached[1]
+        mapping = [self.names.intern(qname.local, qname.namespace)
+                   for qname in names.all_names()]
+        mapping.append(-1)
+        self._name_maps[id(names)] = (names, mapping)
+        return mapping
 
 
 @dataclass(frozen=True)

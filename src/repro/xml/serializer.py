@@ -8,6 +8,7 @@ shredding/serialization experiment.
 
 from __future__ import annotations
 
+import math
 from typing import Any
 
 from .document import DocumentContainer, NodeKind, NodeRef
@@ -64,6 +65,13 @@ def serialize_node(node: NodeRef) -> str:
     return serialize_subtree(node.container, node.pre)
 
 
+def special_double(value: float) -> str:
+    """The xs:double lexical form of NaN or an infinity."""
+    if math.isnan(value):
+        return "NaN"
+    return "INF" if value > 0 else "-INF"
+
+
 def serialize_item(item: Any) -> str:
     """Serialize one XQuery item: nodes as XML, atomics via string conversion."""
     if isinstance(item, NodeRef):
@@ -71,6 +79,8 @@ def serialize_item(item: Any) -> str:
     if isinstance(item, bool):
         return "true" if item else "false"
     if isinstance(item, float):
+        if not math.isfinite(item):
+            return special_double(item)
         if item == int(item):
             return str(int(item))
         return repr(item)

@@ -43,7 +43,7 @@ from ..relational.sorting import sort
 from ..staircase.axes import NodeTest
 from ..xml.document import NodeRef
 from . import functions
-from .constructors import construct_element, construct_text
+from .constructors import ElementSpec, build_element, construct_text
 from .joins import existential_compare
 from .sequences import (back_map, empty_sequence, for_binding,
                         from_iter_items, items_by_iteration, lift_constant,
@@ -822,19 +822,13 @@ class _ClosureBuilder:
     # ------------------------------------------------------------------ #
     # constructors
     # ------------------------------------------------------------------ #
-    def _content_sources(self, spec, children) -> list:
-        """The parts of a constructor's content (or attribute value
-        template) ``spec``: a literal text part stays a string, an ``"e"``
-        part becomes the grouped source of the next child expression."""
-        expressions = iter(children)
-        return [self._grouped_source(next(expressions)) if part == "e"
-                else part[1] for part in spec]
-
     def _template_source(self, template: PlanNode) -> Callable:
         """``fn(rt, loop, env) -> {iteration: str}`` rendering an attribute
         value template: literal parts verbatim, each expression's items
         as strings joined by single spaces."""
-        parts = self._content_sources(template.p("spec"), template.children)
+        expressions = iter(template.children)
+        parts = [self._grouped_source(next(expressions)) if part == "e"
+                 else part[1] for part in template.p("spec")]
 
         def source(rt, loop, env):
             pieces = [part if isinstance(part, str) else part(rt, loop, env)
@@ -853,37 +847,48 @@ class _ClosureBuilder:
             return values
         return source
 
-    def _gen_elem(self, node: PlanNode) -> Callable:
-        name = node.p("name")
+    def _element_template(self, node: PlanNode) -> "_ElementTemplate":
+        """The static parts of an ``elem`` node: attribute value template
+        sources and content parts (:meth:`_content_parts`)."""
         attr_names = node.p("attr_names")
-        template_srcs = [(attribute_name, self._template_source(template))
-                         for attribute_name, template
-                         in zip(attr_names, node.children)]
-        content_parts = self._content_sources(
-            node.p("content_spec"), node.children[len(attr_names):])
+        expressions = iter(node.children[len(attr_names):])
+        parts: list = []
+        for part in node.p("content_spec"):
+            if part == "e":
+                parts.extend(self._content_parts(next(expressions)))
+            else:
+                parts.append(part[1])
+        return _ElementTemplate(
+            node.p("name"), attr_names,
+            [self._template_source(template)
+             for template in node.children[:len(attr_names)]],
+            parts)
+
+    def _content_parts(self, child: PlanNode) -> list:
+        """One content expression as constructor parts: a direct child
+        constructor becomes its own template, built in place inside the
+        parent's fragment; a sequence holding constructors splits into its
+        members (content items concatenate per iteration either way); any
+        other expression is a grouped source.  Both node kinds skipped here
+        are impure, so never shared or cached: bypassing their closures
+        bypasses no memoisation."""
+        if child.kind == "elem":
+            return [self._element_template(child)]
+        if child.kind == "seq" and child.id in self.plan.impure:
+            return [part for member in child.children
+                    for part in self._content_parts(member)]
+        return [self._grouped_source(child)]
+
+    def _gen_elem(self, node: PlanNode) -> Callable:
+        template = self._element_template(node)
 
         def fn(rt, loop, env):
-            # attribute templates, then content expressions, evaluated in
-            # document order: constructed children precede their parent
-            attribute_values = [(attribute_name, source(rt, loop, env))
-                                for attribute_name, source in template_srcs]
-            content_values = [part if isinstance(part, str)
-                              else part(rt, loop, env)
-                              for part in content_parts]
             container = rt.engine.transient
+            instance = template.bind(rt, loop, env, container.names)
             values: dict[int, Any] = {}
             for iteration in loop.col("iter"):
-                attributes = [(attribute_name, per_iter.get(iteration, ""))
-                              for attribute_name, per_iter
-                              in attribute_values]
-                content: list[Any] = []
-                for part in content_values:
-                    if isinstance(part, str):
-                        content.append(part)
-                    else:
-                        content.extend(part.get(iteration, []))
-                values[iteration] = construct_element(container, name,
-                                                      attributes, content)
+                values[iteration] = NodeRef(
+                    container, build_element(container, instance(iteration)))
             return singleton_per_iter(loop, values)
         return fn
 
@@ -900,3 +905,47 @@ class _ClosureBuilder:
                 values[iteration] = construct_text(container, text)
             return singleton_per_iter(loop, values)
         return fn
+
+
+class _ElementTemplate:
+    """An element constructor's static parts (see
+    :meth:`_ClosureBuilder._element_template`)."""
+
+    __slots__ = ("name", "attr_names", "attr_sources", "parts")
+
+    def __init__(self, name: str, attr_names, attr_sources, parts):
+        self.name = name
+        self.attr_names = attr_names
+        self.attr_sources = attr_sources
+        self.parts = parts
+
+    def bind(self, rt, loop, env, names) -> Callable[[int], ElementSpec]:
+        """Evaluate every source once for the whole loop — attribute
+        templates, then content expressions, in document order, nested
+        templates included — and return the per-iteration
+        :class:`ElementSpec` maker.  Names are interned in ``names``, the
+        target container's pool."""
+        name_id = names.intern(self.name)
+        attr_ids = [names.intern(name) for name in self.attr_names]
+        attr_values = [source(rt, loop, env) for source in self.attr_sources]
+        parts = [part if isinstance(part, str)
+                 else part.bind(rt, loop, env, names)
+                 if isinstance(part, _ElementTemplate)
+                 else part(rt, loop, env)
+                 for part in self.parts]
+
+        def instance(iteration: int) -> ElementSpec:
+            content: list[Any] = []
+            for part in parts:
+                if isinstance(part, str):
+                    content.append(part)
+                elif isinstance(part, dict):
+                    content.extend(part.get(iteration, ()))
+                else:
+                    content.append(part(iteration))
+            return ElementSpec(
+                name_id,
+                [(attr_id, values.get(iteration, ""))
+                 for attr_id, values in zip(attr_ids, attr_values)],
+                content)
+        return instance

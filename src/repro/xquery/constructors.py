@@ -2,26 +2,42 @@
 
 XQuery element constructors create new nodes.  In the relational encoding a
 constructed element is appended to the query's *transient* document
-container: the structural part of copied content subtrees is pasted verbatim
-(shifted pre ranks, preserved sizes), atomic content becomes text nodes, and
-each constructed tree receives a fresh ``frag`` id so disjoint fragments stay
-apart.  The returned node surrogate points into the transient container.
+container: copied content subtrees are pasted as ``pre|size|level`` range
+slices (shifted pre ranks and levels, preserved sizes), atomic content
+becomes text nodes, and each constructed tree receives a fresh ``frag`` id
+so disjoint fragments stay apart.  Nested element constructors are built in
+place — straight into their parent's fragment at the next level — instead
+of being built standalone and copied.  The returned node surrogate points
+into the transient container.
 """
 
 from __future__ import annotations
 
 from typing import Any, Sequence
 
-from ..errors import XQueryRuntimeError
 from ..xml.document import DocumentContainer, NodeKind, NodeRef
 from .types import to_string
 
 
+class ElementSpec:
+    """One element to build: its name id and ``(name id, value)``
+    attribute pairs in the target container's name pool, and its content
+    sequence.  A content item is a node surrogate (copied), a nested
+    :class:`ElementSpec` (built in place) or an atomic value."""
+
+    __slots__ = ("name_id", "attributes", "content")
+
+    def __init__(self, name_id: int, attributes: Sequence[tuple[int, str]],
+                 content: Sequence[Any]):
+        self.name_id = name_id
+        self.attributes = attributes
+        self.content = content
+
+
 def construct_text(container: DocumentContainer, content: str) -> NodeRef:
     """Create a standalone text node in the transient container."""
-    pre = container.add_node(NodeKind.TEXT, 0, value=content)
-    container.frag[pre] = pre
-    return NodeRef(container, pre)
+    return NodeRef(container, container.add_node(NodeKind.TEXT, 0,
+                                                 value=content))
 
 
 def construct_element(container: DocumentContainer, name: str,
@@ -34,41 +50,57 @@ def construct_element(container: DocumentContainer, name: str,
     element) or atomic values (adjacent atomics merge into one text node,
     separated by a single space, per the XQuery constructor rules).
     """
-    root = container.add_node(NodeKind.ELEMENT, 0,
-                              name_id=container.names.intern(name))
-    container.frag[root] = root
-    for attribute_name, attribute_value in attributes:
-        container.add_attribute(root, container.names.intern(attribute_name),
-                                attribute_value)
+    names = container.names
+    spec = ElementSpec(names.intern(name),
+                       [(names.intern(attribute_name), value)
+                        for attribute_name, value in attributes],
+                       content)
+    return NodeRef(container, build_element(container, spec))
 
+
+def build_element(container: DocumentContainer, spec: ElementSpec,
+                  level: int = 0, frag: int | None = None) -> int:
+    """Append the element ``spec`` at ``level`` of fragment ``frag`` (a new
+    fragment when ``None``); returns its pre rank.  Nested specs in the
+    content are emitted in place one level deeper, into the same fragment.
+    """
+    root = container.add_node(NodeKind.ELEMENT, level, name_id=spec.name_id,
+                              frag=frag)
+    if frag is None:
+        frag = root
+    for name_id, value in spec.attributes:
+        container.add_attribute(root, name_id, value)
+
+    child_level = level + 1
+    names = container.names
     pending_atomics: list[str] = []
-
-    def flush_atomics() -> None:
-        if not pending_atomics:
-            return
-        text = " ".join(pending_atomics)
-        pending_atomics.clear()
-        pre = container.add_node(NodeKind.TEXT, 1, value=text, frag=root)
-
-    for item in content:
+    for item in spec.content:
         if isinstance(item, NodeRef):
             if item.attr is not None:
-                container.add_attribute(
-                    root,
-                    container.names.intern(item.name() or "attr"),
-                    item.string_value())
+                container.add_attribute(root,
+                                        names.intern(item.name() or "attr"),
+                                        item.string_value())
                 continue
-            flush_atomics()
-            source = item.container
-            if source.kind[item.pre] == NodeKind.DOCUMENT:
-                # copying a document node copies its children
-                for child in source.children_pre(item.pre):
-                    container.copy_subtree_from(source, child, 1, root)
-            else:
-                container.copy_subtree_from(source, item.pre, 1, root)
-        else:
+        elif not isinstance(item, ElementSpec):
             pending_atomics.append(to_string(item))
-    flush_atomics()
+            continue
+        if pending_atomics:
+            container.add_node(NodeKind.TEXT, child_level,
+                               value=" ".join(pending_atomics), frag=frag)
+            pending_atomics.clear()
+        if isinstance(item, ElementSpec):
+            build_element(container, item, child_level, frag)
+            continue
+        source = item.container
+        if source.kind[item.pre] == NodeKind.DOCUMENT:
+            # copying a document node copies its children
+            for child in source.children_pre(item.pre):
+                container.copy_subtree_from(source, child, child_level, frag)
+        else:
+            container.copy_subtree_from(source, item.pre, child_level, frag)
+    if pending_atomics:
+        container.add_node(NodeKind.TEXT, child_level,
+                           value=" ".join(pending_atomics), frag=frag)
 
     container.set_size(root, container.node_count - root - 1)
-    return NodeRef(container, root)
+    return root

@@ -28,8 +28,31 @@ from .lexer import Lexer, Token, is_name_start
 _GENERAL_COMPARISONS = {"=": "eq", "!=": "ne", "<": "lt", "<=": "le",
                         ">": "gt", ">=": "ge"}
 _VALUE_COMPARISONS = {"eq", "ne", "lt", "le", "gt", "ge"}
-_ADDITIVE = {"+": "add", "-": "sub"}
-_MULTIPLICATIVE = {"*": "mul", "div": "div", "idiv": "idiv", "mod": "mod"}
+
+#: binary operator token ``(kind, value)`` -> ``(precedence, form, op)``;
+#: a larger precedence binds tighter
+_BINARY_OPERATORS: dict[tuple[str, Any], tuple[int, str, str | None]] = {
+    ("name", "or"): (1, "or", None),
+    ("name", "and"): (2, "and", None),
+    **{("symbol", symbol): (3, "general", op)
+       for symbol, op in _GENERAL_COMPARISONS.items()},
+    **{("name", op): (3, "value", op) for op in _VALUE_COMPARISONS},
+    ("name", "to"): (4, "range", None),
+    ("symbol", "+"): (5, "arith", "add"),
+    ("symbol", "-"): (5, "arith", "sub"),
+    ("symbol", "*"): (6, "arith", "mul"),
+    ("name", "div"): (6, "arith", "div"),
+    ("name", "idiv"): (6, "arith", "idiv"),
+    ("name", "mod"): (6, "arith", "mod"),
+}
+_NARY = {"or": ast.OrExpr, "and": ast.AndExpr}
+
+#: deepest expression nesting the parser accepts: parenthesised and
+#: enclosed expressions, predicates, function arguments, FLWOR/if/quantified
+#: sub-expressions, unary signs and nested direct constructors each count
+#: one level.  Deeper queries raise XQuerySyntaxError instead of exhausting
+#: the interpreter stack here or in the recursive passes after parsing.
+MAX_NESTING_DEPTH = 90
 
 _AXIS_NAMES = {
     "child": Axis.CHILD,
@@ -69,6 +92,8 @@ class XQueryParser:
     def __init__(self, source: str):
         self.lexer = Lexer(source)
         self.current: Token = self.lexer.next_token()
+        #: current expression nesting depth (see :meth:`_enter`)
+        self.depth = 0
 
     # ------------------------------------------------------------------ #
     # token plumbing
@@ -183,13 +208,27 @@ class XQueryParser:
         return ast.SequenceExpr(items)
 
     def parse_expr_single(self) -> ast.Expr:
-        if self.current.is_name("for", "let"):
-            return self._parse_flwor()
-        if self.current.is_name("some", "every"):
-            return self._parse_quantified()
-        if self.current.is_name("if") :
-            return self._parse_if()
-        return self._parse_or()
+        self._enter()
+        try:
+            if self.current.is_name("for", "let"):
+                return self._parse_flwor()
+            if self.current.is_name("some", "every"):
+                return self._parse_quantified()
+            if self.current.is_name("if"):
+                return self._parse_if()
+            return self._parse_operators()
+        finally:
+            self.depth -= 1
+
+    def _enter(self, levels: int = 1) -> None:
+        """Descend ``levels`` nesting levels; past
+        :data:`MAX_NESTING_DEPTH` the query is rejected with a syntax error
+        before the parser — or any recursive pass after it — runs out of
+        interpreter stack."""
+        self.depth += levels
+        if self.depth > MAX_NESTING_DEPTH:
+            raise self._error(
+                f"expression nested deeper than {MAX_NESTING_DEPTH} levels")
 
     # -- FLWOR -------------------------------------------------------------- #
     def _parse_flwor(self) -> ast.FLWORExpr:
@@ -282,70 +321,58 @@ class XQueryParser:
         return ast.IfExpr(condition, then_branch, else_branch)
 
     # -- boolean / comparison / arithmetic ----------------------------------- #
-    def _parse_or(self) -> ast.Expr:
-        operands = [self._parse_and()]
-        while self.current.is_name("or"):
-            self._advance()
-            operands.append(self._parse_and())
-        if len(operands) == 1:
-            return operands[0]
-        return ast.OrExpr(operands)
-
-    def _parse_and(self) -> ast.Expr:
-        operands = [self._parse_comparison()]
-        while self.current.is_name("and"):
-            self._advance()
-            operands.append(self._parse_comparison())
-        if len(operands) == 1:
-            return operands[0]
-        return ast.AndExpr(operands)
-
-    def _parse_comparison(self) -> ast.Expr:
-        left = self._parse_range()
-        if self.current.kind == "symbol" and self.current.value in _GENERAL_COMPARISONS:
-            op = _GENERAL_COMPARISONS[str(self._advance().value)]
-            right = self._parse_range()
-            return ast.GeneralComparison(op, left, right)
-        if self.current.kind == "name" and self.current.value in _VALUE_COMPARISONS:
-            op = str(self._advance().value)
-            right = self._parse_range()
-            return ast.ValueComparison(op, left, right)
-        return left
-
-    def _parse_range(self) -> ast.Expr:
-        left = self._parse_additive()
-        if self.current.is_name("to"):
-            self._advance()
-            right = self._parse_additive()
-            return ast.RangeExpr(left, right)
-        return left
-
-    def _parse_additive(self) -> ast.Expr:
-        left = self._parse_multiplicative()
-        while self.current.kind == "symbol" and self.current.value in _ADDITIVE:
-            op = _ADDITIVE[str(self._advance().value)]
-            right = self._parse_multiplicative()
-            left = ast.ArithmeticExpr(op, left, right)
-        return left
-
-    def _parse_multiplicative(self) -> ast.Expr:
+    def _parse_operators(self, min_precedence: int = 1) -> ast.Expr:
+        """Binary operators by precedence climbing: or < and < comparisons
+        < range < additive < multiplicative.  One frame per operand level
+        instead of one per grammar level keeps deep nesting inside the
+        interpreter's recursion limit.  ``or``/``and`` chains build one
+        n-ary node, arithmetic is left-associative, and comparisons and
+        ``to`` do not chain (after one, only looser operators may follow).
+        """
         left = self._parse_unary()
-        while ((self.current.is_symbol("*"))
-               or (self.current.kind == "name"
-                   and self.current.value in ("div", "idiv", "mod"))):
-            op = _MULTIPLICATIVE[str(self._advance().value)]
-            right = self._parse_unary()
-            left = ast.ArithmeticExpr(op, left, right)
-        return left
+        ceiling = 7  # above every precedence
+        chain: list[ast.Expr] | None = None
+        while True:
+            token = self.current
+            operator = _BINARY_OPERATORS.get((token.kind, token.value))
+            if operator is None:
+                return left
+            precedence, form, op = operator
+            if not min_precedence <= precedence < ceiling:
+                return left
+            self._advance()
+            right = self._parse_operators(precedence + 1)
+            if form in ("or", "and"):
+                if chain is not None and isinstance(left, _NARY[form]):
+                    chain.append(right)
+                    continue
+                chain = [left, right]
+                left = _NARY[form](chain)
+                continue
+            chain = None
+            if form == "arith":
+                left = ast.ArithmeticExpr(op, left, right)
+                continue
+            ceiling = precedence
+            if form == "general":
+                left = ast.GeneralComparison(op, left, right)
+            elif form == "value":
+                left = ast.ValueComparison(op, left, right)
+            else:
+                left = ast.RangeExpr(left, right)
 
     def _parse_unary(self) -> ast.Expr:
-        if self.current.is_symbol("-"):
-            self._advance()
-            return ast.UnaryExpr(True, self._parse_unary())
-        if self.current.is_symbol("+"):
-            self._advance()
-            return ast.UnaryExpr(False, self._parse_unary())
-        return self._parse_path()
+        signs: list[bool] = []
+        while self.current.is_symbol("-", "+"):
+            signs.append(self._advance().value == "-")
+        if not signs:
+            return self._parse_path()
+        self._enter(len(signs))     # every sign nests one level deeper
+        operand = self._parse_path()
+        self.depth -= len(signs)
+        for negate in reversed(signs):
+            operand = ast.UnaryExpr(negate, operand)
+        return operand
 
     # -- paths ---------------------------------------------------------------- #
     def _parse_path(self) -> ast.Expr:
@@ -669,7 +696,9 @@ class XQueryParser:
                     continue
                 flush_text()
                 lexer.position += 1
+                self._enter()   # a nested constructor is one level deeper
                 content.append(self._parse_raw_element())
+                self.depth -= 1
                 continue
             if char == "{":
                 if lexer.peek_char(1) == "{":

@@ -19,6 +19,13 @@ from typing import Any, Sequence
 
 from ..errors import XQueryTypeError
 from ..xml.document import NodeRef
+from ..xml.serializer import special_double
+
+
+#: the xs:double lexical forms of the special values (Python's own
+#: spellings — "inf", "nan", "Infinity" — are not XQuery numerals)
+_SPECIAL_DOUBLES = {"INF": math.inf, "+INF": math.inf, "-INF": -math.inf,
+                    "NaN": math.nan}
 
 
 def atomize(item: Any) -> Any:
@@ -39,15 +46,17 @@ def to_number(value: Any) -> float | int | None:
         text = value.strip()
         if not text:
             return None
+        special = _SPECIAL_DOUBLES.get(text)
+        if special is not None:
+            return special
+        if "_" in text:  # Python digit grouping, not an XQuery numeral
+            return None
         try:
             if any(ch in text for ch in ".eE"):
                 return float(text)
             return int(text)
         except ValueError:
-            try:
-                return float(text)
-            except ValueError:
-                return None
+            return None
     return None
 
 
@@ -59,8 +68,8 @@ def to_string(value: Any) -> str:
     if isinstance(value, bool):
         return "true" if value else "false"
     if isinstance(value, float):
-        if math.isnan(value):
-            return "NaN"
+        if not math.isfinite(value):
+            return special_double(value)
         if value == int(value) and abs(value) < 1e15:
             return str(int(value))
         return repr(value)

@@ -208,6 +208,61 @@ class TestSharedSubplanBoundaries:
         assert trace.count("plan.cse.reuse") >= 1
         assert trace.count("step.chain-fused") >= 1
 
+    #: Q7's shape: one ``$p//`` prefix under three fusing consumers
+    Q7_SHAPED = ("for $p in /site return count($p//name) + count($p//bidder)"
+                 " + count($p//increase)")
+
+    @staticmethod
+    def descendant_step_lines(explained):
+        return [line for line in explained.splitlines()
+                if "descendant-or-self" in line]
+
+    def test_step_every_consumer_fuses_is_not_shared(self, engine):
+        """Sharing ``$p//`` would cut all three chains and box every
+        subtree node; left unshared, each chain re-runs it surrogate-free
+        and the ``//T`` collapse fires."""
+        with capture() as trace:
+            fused = engine.query(self.Q7_SHAPED, options=FUSED).serialize()
+        assert trace.count("step.chain-fused") >= 3
+        assert trace.count("plan.cse.reuse") == 0
+        lines = self.descendant_step_lines(engine.explain(self.Q7_SHAPED))
+        assert lines and not any("(shared)" in line for line in lines)
+        assert fused == engine.query(
+            self.Q7_SHAPED, options=EngineOptions(subplan_sharing=False)
+        ).serialize() == engine.query(self.Q7_SHAPED,
+                                      options=PER_STEP).serialize()
+
+    def test_without_fusion_the_step_stays_shared(self, engine):
+        lines = self.descendant_step_lines(
+            engine.explain(self.Q7_SHAPED, options=PER_STEP))
+        assert any("(shared)" in line for line in lines)
+        with capture() as trace:
+            engine.query(self.Q7_SHAPED, options=PER_STEP)
+        assert trace.count("plan.cse.reuse") >= 2
+
+    def test_non_fusing_consumer_keeps_the_step_shared(self, engine):
+        """A general predicate needs the materialised intermediate, so one
+        such consumer keeps the prefix memoised (mixed consumers)."""
+        query = ("for $p in /site return count($p//name) "
+                 "+ count($p//person[name])")
+        lines = self.descendant_step_lines(engine.explain(query))
+        assert any("(shared)" in line for line in lines)
+        assert engine.query(query, options=FUSED).serialize() \
+            == engine.query(query, options=PER_STEP).serialize()
+
+    def test_xmark_q7_fuses_all_three_counts(self, xmark_engine):
+        from repro.xmark import XMARK_QUERIES
+        query = XMARK_QUERIES[7]
+        with capture() as trace:
+            result = xmark_engine.query(query).serialize()
+        assert trace.count("step.chain-fused") >= 3
+        assert trace.count("plan.cse.reuse") == 0
+        lines = self.descendant_step_lines(xmark_engine.explain(query))
+        assert len(lines) == 3
+        assert not any("(shared)" in line for line in lines)
+        assert result == xmark_engine.query(
+            query, options=EngineOptions(subplan_sharing=False)).serialize()
+
 
 class TestChainEvaluatorContracts:
     def test_chain_requires_two_steps(self):

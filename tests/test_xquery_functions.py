@@ -80,6 +80,29 @@ class TestNumbers:
         assert engine.query('number("12")').items == [12]
         assert math.isnan(engine.query('number("nope")').items[0])
 
+    @pytest.mark.parametrize("query, expected", [
+        ('number("x")', "NaN"),
+        ("1 div 0", "NaN"),
+        ("-(1 div 0)", "NaN"),
+        ('number("INF")', "INF"),
+        ('number("-INF")', "-INF"),
+        ('string(number("INF"))', "INF"),
+        ('string(number("-INF"))', "-INF"),
+        ('number("NaN")', "NaN"),
+        ('<a v="{number("-INF")}">{number("INF")}</a>',
+         '<a v="-INF">INF</a>'),
+        ('(number("INF"), 1, number("x"))', "INF 1 NaN"),
+    ])
+    def test_special_doubles_serialize(self, engine, query, expected):
+        assert engine.query(query).serialize() == expected
+
+    def test_only_xquery_spellings_of_special_doubles(self, engine):
+        """``inf``/``Infinity``/``nan`` and digit grouping are Python
+        numerals, not xs:double lexical forms."""
+        for text in ("inf", "Infinity", "-infinity", "nan", "1_000"):
+            assert engine.query(f'number("{text}")').serialize() == "NaN"
+        assert engine.query('number("+INF")').serialize() == "INF"
+
     def test_round_floor_ceiling_abs(self, engine):
         assert engine.query("round(2.5)").items == [2]
         assert engine.query("floor(2.9)").items == [2]

@@ -135,6 +135,68 @@ class TestParserShapes:
         assert isinstance(expression, ast.FilterExpr)
 
 
+class TestOperatorShapes:
+    def test_or_and_chains_are_n_ary(self):
+        expression = parse("$a or $b and $c and $d or $e").body
+        assert isinstance(expression, ast.OrExpr)
+        assert len(expression.operands) == 3
+        assert isinstance(expression.operands[1], ast.AndExpr)
+        assert len(expression.operands[1].operands) == 3
+
+    def test_parenthesised_chain_stays_a_separate_node(self):
+        expression = parse("($a or $b) or $c").body
+        assert len(expression.operands) == 2
+        assert isinstance(expression.operands[0], ast.OrExpr)
+
+    def test_arithmetic_is_left_associative(self):
+        expression = parse("1 - 2 - 3 * 4 div 5").body
+        assert expression.op == "sub"
+        assert isinstance(expression.left, ast.ArithmeticExpr)
+        assert expression.left.op == "sub"
+        assert expression.right.op == "div"
+        assert expression.right.left.op == "mul"
+
+    def test_comparison_binds_looser_than_range_and_arithmetic(self):
+        expression = parse("1 + 1 = 1 to 3 and 2 > 1").body
+        assert isinstance(expression, ast.AndExpr)
+        comparison = expression.operands[0]
+        assert isinstance(comparison, ast.GeneralComparison)
+        assert isinstance(comparison.left, ast.ArithmeticExpr)
+        assert isinstance(comparison.right, ast.RangeExpr)
+
+    def test_unary_signs_nest(self):
+        expression = parse("- + -1").body
+        assert isinstance(expression, ast.UnaryExpr) and expression.negate
+        assert not expression.operand.negate
+        assert expression.operand.operand.negate
+
+
+class TestNestingDepth:
+    """Deep nesting fails with a typed syntax error instead of exhausting
+    the interpreter stack in the parser or a recursive pass after it."""
+
+    SHAPES = {
+        "parentheses": lambda depth: "(" * depth + "1" + ")" * depth,
+        "calls": lambda depth: "count(" * depth + "1" + ")" * depth,
+        "predicates": lambda depth: "/site" + "[people" * depth
+                                    + "]" * depth,
+        "constructors": lambda depth: "<a>" * depth + "</a>" * depth,
+        "signs": lambda depth: "-" * depth + "1",
+        "conditionals": lambda depth: "if (1) then " * depth + "1"
+                                      + " else 2" * depth,
+    }
+
+    @pytest.mark.parametrize("shape", sorted(SHAPES))
+    def test_depth_80_still_runs(self, engine, shape):
+        engine.query(self.SHAPES[shape](80)).serialize()
+
+    @pytest.mark.parametrize("depth", [100, 400, 5000])
+    @pytest.mark.parametrize("shape", sorted(SHAPES))
+    def test_deeper_nesting_raises_syntax_error(self, engine, shape, depth):
+        with pytest.raises(XQuerySyntaxError, match="nested deeper"):
+            engine.prepare(self.SHAPES[shape](depth))
+
+
 class TestParserErrors:
     def test_trailing_garbage(self):
         with pytest.raises(XQuerySyntaxError):
@@ -152,6 +214,12 @@ class TestParserErrors:
         from repro.errors import XQueryError
         with pytest.raises(XQueryError):
             parse('element {"a"} { 1 }')
+
+    def test_chained_comparison_is_rejected(self):
+        for text in ("1 = 2 = 3", "1 to 2 to 3", "1 = 2 to 3 to 4",
+                     "1 eq 2 lt 3"):
+            with pytest.raises(XQuerySyntaxError):
+                parse(text)
 
     def test_unknown_prolog_declaration(self):
         with pytest.raises(XQueryUnsupportedError):
